@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -13,7 +12,6 @@
 #include "exec/experiment_runner.h"
 #include "obs/metrics/collector.h"
 #include "obs/recorder.h"
-#include "obs/report.h"
 #include "sim/federation.h"
 #include "sim/metrics_json.h"
 #include "sim/scenario.h"
@@ -33,21 +31,18 @@ namespace qa::bench {
 ///   --seed=S       master RNG seed
 ///   --trace=FILE   stream a JSONL telemetry trace of the binary's traced
 ///                  run into FILE (analyze with tools/qa_trace)
-///   --report=FILE  write a structured JSON run report (SimMetrics per run)
-///   --metrics=FILE stream a JSONL metrics timeseries (per-period samples,
-///                  watchdog alarms, phase wall-time stats) into FILE
+///   --metrics=FILE stream the binary's JSONL metrics into FILE: the
+///                  traced run's per-period samples, watchdog alarms and
+///                  phase wall-time stats, plus one `mrun` record per
+///                  reported run and one `mfield` per bench-level value
 ///                  (analyze with tools/qa_perf)
-///   --prom=FILE    write a Prometheus-style text exposition snapshot of
-///                  the final metric values into FILE
 struct BenchArgs {
   bool quick = false;
   int threads = 0;  // 0 => hardware_concurrency
   int shards = 0;   // 0 => bench-defined sweep
   uint64_t seed = 42;
   std::string trace_path;
-  std::string report_path;
   std::string metrics_path;
-  std::string prom_path;
 
   static BenchArgs Parse(int argc, char** argv, uint64_t default_seed = 42) {
     BenchArgs args;
@@ -64,17 +59,12 @@ struct BenchArgs {
         args.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
       } else if (arg.rfind("--trace=", 0) == 0) {
         args.trace_path = arg.substr(8);
-      } else if (arg.rfind("--report=", 0) == 0) {
-        args.report_path = arg.substr(9);
       } else if (arg.rfind("--metrics=", 0) == 0) {
         args.metrics_path = arg.substr(10);
-      } else if (arg.rfind("--prom=", 0) == 0) {
-        args.prom_path = arg.substr(7);
       } else {
         std::cerr << "warning: ignoring unknown flag '" << arg
                   << "' (known: --quick --threads=N --shards=N --seed=S "
-                     "--trace=FILE --report=FILE --metrics=FILE "
-                     "--prom=FILE)\n";
+                     "--trace=FILE --metrics=FILE)\n";
       }
     }
     return args;
@@ -87,14 +77,14 @@ struct BenchArgs {
 };
 
 /// The telemetry outputs of one experiment binary: the optional JSONL
-/// trace recorder (--trace) and the optional JSON run report (--report).
-/// Construct it once near the top of main(); it writes everything out on
-/// destruction. With neither flag set every call is a cheap no-op.
+/// trace recorder (--trace) and the optional JSONL metrics collector
+/// (--metrics), which also carries the bench's run results as `mrun` /
+/// `mfield` records. Construct it once near the top of main(); it writes
+/// everything out on destruction. With neither flag set every call is a
+/// cheap no-op.
 class Telemetry {
  public:
-  Telemetry(const BenchArgs& args, const std::string& bench_name)
-      : report_path_(args.report_path), report_(bench_name) {
-    report_.SetField("seed", static_cast<int64_t>(args.seed));
+  Telemetry(const BenchArgs& args, const std::string& bench_name) {
     if (!args.trace_path.empty()) {
       util::StatusOr<std::unique_ptr<obs::Recorder>> opened =
           obs::Recorder::OpenFile(args.trace_path);
@@ -114,12 +104,9 @@ class Telemetry {
         std::cerr << "warning: --metrics: " << opened.status()
                   << "; metrics disabled\n";
       }
-    } else if (!args.prom_path.empty()) {
-      // --prom without --metrics still needs a collector; collect-only
-      // (no JSONL sink).
-      collector_ = std::make_unique<obs::metrics::Collector>();
     }
-    prom_path_ = args.prom_path;
+    ReportField("bench", bench_name);
+    ReportField("seed", args.seed);
   }
 
   Telemetry(const Telemetry&) = delete;
@@ -127,66 +114,38 @@ class Telemetry {
 
   ~Telemetry() {
     if (recorder_ != nullptr) recorder_->Finish();
-    if (collector_ != nullptr) {
-      collector_->Finish();
-      if (!prom_path_.empty()) {
-        std::ofstream prom(prom_path_);
-        if (prom.is_open()) {
-          prom << collector_->ExpositionText();
-        } else {
-          std::cerr << "warning: --prom: cannot open " << prom_path_ << "\n";
-        }
-      }
-      // Embed the phase/lane wall-time summary in the run report.
-      has_fields_ = true;
-      report_.SetField("perf", collector_->PerfJson());
-    }
-    // Write when the bench reported anything at all — labeled runs OR
-    // top-level fields. Benches that key per-cell rows by field name
-    // (bench_scale_nodes, bench_shard_scale) never call Add, and gating on
-    // runs alone silently discarded their --report output.
-    if (!report_path_.empty() && (!report_.empty() || has_fields_)) {
-      util::Status status = report_.WriteFile(report_path_);
-      if (!status.ok()) {
-        std::cerr << "warning: --report: " << status << "\n";
-      }
-    }
+    if (collector_ != nullptr) collector_->Finish();
   }
 
   /// Null when --trace was not given (probes compile to one branch).
   obs::Recorder* recorder() { return recorder_.get(); }
 
-  /// Attaches the trace recorder to `spec`. The recorder is single-writer:
-  /// attach it to exactly one spec per binary (benches trace their QA-NT
-  /// run) so parallel grid execution stays race-free.
-  void Trace(exec::RunSpec& spec) { spec.config.recorder = recorder_.get(); }
-
-  /// Null when neither --metrics nor --prom was given.
+  /// Null when --metrics was not given.
   obs::metrics::Collector* collector() { return collector_.get(); }
 
-  /// Attaches the metrics collector to `spec`. Same single-writer contract
-  /// as Trace: one spec per binary.
-  void Metrics(exec::RunSpec& spec) {
+  /// Attaches the trace recorder and the metrics collector to `spec`. Both
+  /// are single-writer: attach them to exactly one spec per binary
+  /// (benches pick their QA-NT run) so parallel grid execution stays
+  /// race-free.
+  void Attach(exec::RunSpec& spec) {
+    spec.config.recorder = recorder_.get();
     spec.config.metrics = collector_.get();
   }
 
-  /// Adds one labeled SimMetrics row to the run report.
+  /// Writes one labeled SimMetrics row as an `mrun` record.
   void Report(const std::string& label, const sim::SimMetrics& metrics) {
-    report_.Add(label, sim::MetricsToJson(metrics));
+    if (collector_ != nullptr) {
+      collector_->AddRun(label, sim::MetricsToJson(metrics));
+    }
   }
 
-  /// Top-level report extras (capacity estimates, grid shape...) — also
-  /// how the sweep benches key their per-cell rows.
+  /// Writes a bench-level value (capacity estimate, grid shape, a sweep's
+  /// per-cell row...) as an `mfield` record.
   void ReportField(const std::string& key, obs::Json value) {
-    has_fields_ = true;
-    report_.SetField(key, std::move(value));
+    if (collector_ != nullptr) collector_->AddField(key, std::move(value));
   }
 
  private:
-  std::string report_path_;
-  std::string prom_path_;
-  obs::RunReport report_;
-  bool has_fields_ = false;
   std::unique_ptr<obs::Recorder> recorder_;
   std::unique_ptr<obs::metrics::Collector> collector_;
 };

@@ -2,14 +2,14 @@
 // exceeds total system capacity ... due, for example, to multiple node
 // failures", §1), generalized into a fault-type x mechanism grid. One
 // 60-second sinusoid workload at 70% of capacity is replayed under seven
-// fault plans — none, a legacy partition-style outage, crashes with state
+// fault plans — none, single-node partition outages, crashes with state
 // loss + restart, degraded capacity, a lossy/delayed network, a hard
 // partition, and a chaos mix — for every allocation mechanism. Clients
 // enforce a 12 s response SLA, so the Completed column directly contrasts
 // mechanisms that route around faults with mechanisms whose fault-bloated
 // latency tails expire. The QA-NT run under the chaos plan is traced in
 // memory and its price-reconvergence report (time until log-price variance
-// drops back below the pre-fault level) is embedded into BENCH_faults.json.
+// drops back below the pre-fault level) is embedded into BENCH_faults.jsonl.
 
 #include <fstream>
 #include <iostream>
@@ -41,46 +41,45 @@ constexpr util::VDuration kQueryDeadline = 12 * util::kSecond;
 struct PlanCase {
   std::string name;
   std::string blurb;
-  std::vector<sim::Outage> outages;
   sim::faults::FaultPlan faults;
 };
 
 std::vector<PlanCase> BuildPlans(int num_nodes) {
   std::vector<PlanCase> plans;
 
-  plans.push_back({"baseline", "no faults (control row)", {}, {}});
+  plans.push_back({"baseline", "no faults (control row)", {}});
 
   PlanCase outage{"outage", "every 3rd node unreachable [20s,40s), state intact",
-                  {}, {}};
+                  {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 3) {
-    outage.outages.push_back({j, 20 * kSecond, 40 * kSecond});
+    outage.faults.partitions.push_back({{j}, 20 * kSecond, 40 * kSecond});
   }
   plans.push_back(outage);
 
   PlanCase crash{"crash",
                  "every 5th node crashes at 20s (state loss), restarts at 30s",
-                 {}, {}};
+                 {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 5) {
     crash.faults.crashes.push_back({j, 20 * kSecond, 30 * kSecond});
   }
   plans.push_back(crash);
 
   PlanCase degrade{"degrade", "every 4th node at 40% speed during [15s,45s)",
-                   {}, {}};
+                   {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 4) {
     degrade.faults.degrades.push_back({j, 15 * kSecond, 45 * kSecond, 0.4});
   }
   plans.push_back(degrade);
 
   PlanCase lossy{"lossy", "all links drop 10% of hops, +2ms during [20s,40s)",
-                 {}, {}};
+                 {}};
   lossy.faults.links.push_back({sim::faults::LinkFault::kAllNodes,
                                 20 * kSecond, 40 * kSecond, 0.10,
                                 2 * kMillisecond});
   plans.push_back(lossy);
 
   PlanCase partition{"partition", "first quarter of nodes cut off [20s,35s)",
-                     {}, {}};
+                     {}};
   sim::faults::PartitionFault cut;
   for (catalog::NodeId j = 0; j < num_nodes / 4; ++j) cut.nodes.push_back(j);
   cut.from = 20 * kSecond;
@@ -94,10 +93,11 @@ std::vector<PlanCase> BuildPlans(int num_nodes) {
   // of capacity), where the federation *has* the spare capacity to route
   // around the faults — what separates the mechanisms here is whether they
   // find it. This is the acceptance specimen: the QA-NT run under this
-  // plan is traced and its price-reconvergence report lands in the JSON.
+  // plan is traced and its price-reconvergence report lands in the
+  // metrics stream.
   PlanCase chaos{"chaos",
                  "1/4 of nodes crash [14s,22s), 50% link loss [30s,40s)",
-                 {}, {}};
+                 {}};
   for (catalog::NodeId j = 0; j < num_nodes; j += 4) {
     chaos.faults.crashes.push_back({j, 14 * kSecond, 22 * kSecond});
   }
@@ -109,7 +109,7 @@ std::vector<PlanCase> BuildPlans(int num_nodes) {
   return plans;
 }
 
-/// Renders one FaultRecovery row as a report JSON object.
+/// Renders one FaultRecovery row as a JSON object.
 obs::Json RecoveryToJson(const obs::FaultRecovery& row) {
   obs::Json json = obs::Json::MakeObject();
   json.Set("kind", std::string(obs::EventKindName(row.kind)));
@@ -132,10 +132,10 @@ int main(int argc, char** argv) {
   bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
   const uint64_t seed = args.seed;
   bool quick = args.quick;
-  // This bench always emits its structured report (the acceptance artifact)
+  // This bench always emits its metrics stream (the acceptance artifact)
   // and traces its QA-NT crash run in memory; --trace streams that same
   // trace to a file for tools/qa_trace --faults.
-  if (args.report_path.empty()) args.report_path = "BENCH_faults.json";
+  if (args.metrics_path.empty()) args.metrics_path = "BENCH_faults.jsonl";
   const std::string trace_path = args.trace_path;
   args.trace_path.clear();
   bench::Banner("Fault chaos matrix",
@@ -180,9 +180,9 @@ int main(int argc, char** argv) {
           bench::MakeSpec(*model, name, trace, period, seed);
       spec.config.query_deadline = kQueryDeadline;
       spec.config.seed = static_cast<int64_t>(seed);
-      spec.config.outages = plan.outages;
       spec.config.faults = plan.faults;
       if (plan.name == "chaos" && name == "QA-NT") {
+        telemetry.Attach(spec);
         spec.config.recorder = &crash_recorder;
       }
       specs.push_back(std::move(spec));

@@ -46,12 +46,12 @@ int main(int argc, char** argv) {
     telemetry.recorder()->Gauge("capacity_qps", capacity);
   }
 
-  // The trace (when requested) follows the QA-NT run: its per-period
-  // price/supply snapshots are what tools/qa_trace turns into the
-  // convergence diagnostics.
+  // The trace and metrics (when requested) follow the QA-NT run: its
+  // per-period price/supply snapshots are what tools/qa_trace turns into
+  // the convergence diagnostics.
   exec::RunSpec qa_spec = bench::MakeSpec(*model, "QA-NT", trace, period,
                                           seed);
-  telemetry.Trace(qa_spec);
+  telemetry.Attach(qa_spec);
   sim::SimMetrics qa_nt = exec::RunSpecOnce(qa_spec).metrics;
   sim::SimMetrics greedy =
       bench::RunMechanism(*model, "Greedy", trace, period, seed);

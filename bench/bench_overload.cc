@@ -14,7 +14,8 @@
 // The QA-NT price-signal run at the top factor is traced in memory; its
 // surge-edge price-reconvergence report (log-price variance back below the
 // pre-surge level) and a shards {1,4} x threads {1,8} byte-identity check
-// of that same cell land in BENCH_overload.json.
+// of that same cell land in BENCH_overload.jsonl, next to the cell's
+// per-period metrics samples.
 
 #include <fstream>
 #include <iostream>
@@ -87,9 +88,9 @@ int main(int argc, char** argv) {
   bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
   const uint64_t seed = args.seed;
   bool quick = args.quick;
-  // Always emit the structured report (the acceptance artifact); --trace
+  // Always emit the metrics stream (the acceptance artifact); --trace
   // additionally streams the traced cell to a file for qa_trace --shed.
-  if (args.report_path.empty()) args.report_path = "BENCH_overload.json";
+  if (args.metrics_path.empty()) args.metrics_path = "BENCH_overload.jsonl";
   const std::string trace_path = args.trace_path;
   args.trace_path.clear();
   bench::Banner("Flash-crowd overload sweep",
@@ -157,6 +158,7 @@ int main(int argc, char** argv) {
         }
         if (factor == max_factor && protection.name == "price" &&
             name == "QA-NT") {
+          telemetry.Attach(spec);
           spec.config.recorder = &surge_recorder;
         }
         specs.push_back(std::move(spec));

@@ -346,9 +346,6 @@ int main(int argc, char** argv) {
   measure_fed(nullptr, &fed_plain);  // warm
   double plain_eps = 0.0;
   double metered_eps = 0.0;
-  // Kept past the loop so the bench can print the last trial's phase
-  // profile (collectors are pinned by address — not movable).
-  auto fed_collector = std::make_unique<obs::metrics::Collector>();
   // The overhead is a few percent, well under the wall-clock noise floor
   // of a shared machine (scheduler preemption swings even the median of
   // paired wall ratios by more than the gate). So the A/B ratio is taken
@@ -375,7 +372,6 @@ int main(int argc, char** argv) {
     if (pair_plain.cpu_eps > 0 && pair_metered.cpu_eps > 0) {
       fed_ratios.push_back(pair_metered.cpu_eps / pair_plain.cpu_eps);
     }
-    if (t == fed_trials - 1) fed_collector = std::move(collector);
   }
   bool metrics_identical = SameMetrics(fed_plain, fed_metered);
   identical = identical && metrics_identical;
@@ -390,27 +386,25 @@ int main(int argc, char** argv) {
             << "  overhead (median pair,\n"
             << "   CPU time)              : " << overhead_pct << " %\n"
             << "  results identical       : "
-            << (metrics_identical ? "yes" : "NO") << "\n"
-            << "  phase profile (collect-only, last trial):\n"
-            << "  " << fed_collector->PerfJson().Dump() << "\n";
+            << (metrics_identical ? "yes" : "NO") << "\n";
 
-  // Optional structured run report (--report=FILE): the serial grid's
-  // SimMetrics per cell. The timed loops above never see a recorder, so
-  // --report does not perturb the measurements.
+  // Optional metrics stream (--metrics=FILE): the serial grid's SimMetrics
+  // per cell as mrun records. The timed loops above never see a recorder
+  // or a sink-backed collector, so --metrics does not perturb the
+  // measurements.
   {
     bench::Telemetry telemetry(args, "Perf: runner + event queue");
     telemetry.ReportField("events_per_sec_tagged", tagged_eps);
     telemetry.ReportField("events_per_sec_callback", callback_eps);
-    // With --metrics/--prom/--trace, replay the federation cell once more
-    // with the sink-backed collector and/or trace recorder attached
-    // (untimed — the measurements above are already done) so the sidecars
-    // carry a real phase profile and event stream for tools/qa_perf and
+    // With --metrics/--trace, replay the federation cell once more with
+    // the sink-backed collector and/or trace recorder attached (untimed —
+    // the measurements above are already done) so the sidecars carry a
+    // real phase profile and event stream for tools/qa_perf and
     // `tools/qa_trace --alarms=`.
     if (telemetry.collector() != nullptr || telemetry.recorder() != nullptr) {
       exec::RunSpec spec =
           bench::MakeSpec(*fed_model, "QA-NT", fed_trace, period, args.seed);
-      telemetry.Metrics(spec);
-      telemetry.Trace(spec);
+      telemetry.Attach(spec);
       exec::RunSpecOnce(spec);
     }
     std::vector<std::string> names = allocation::AllMechanismNames();

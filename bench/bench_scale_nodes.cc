@@ -96,7 +96,7 @@ Equilibrium TimeToEquilibrium(const std::string& metrics_jsonl,
 
 int main(int argc, char** argv) {
   bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
-  if (args.report_path.empty()) args.report_path = "BENCH_scale.json";
+  if (args.metrics_path.empty()) args.metrics_path = "BENCH_scale.jsonl";
   const uint64_t seed = args.seed;
   bench::Banner("Scale",
                 "Hierarchical two-tier market vs flat QA-NT, "
@@ -246,8 +246,8 @@ int main(int argc, char** argv) {
     if (!traced && telemetry.recorder() != nullptr) {
       // Trace the smallest hierarchical cell only: one traced run per
       // binary (single-writer recorder), and the small cell keeps the
-      // file tractable.
-      telemetry.Trace(hier_spec);
+      // file tractable. run_cell swaps in the cell's own collector.
+      telemetry.Attach(hier_spec);
       traced = true;
     }
     auto hier = run_cell("QA-NT/hier-8x8", hier_spec);

@@ -10,25 +10,27 @@
 // completed/messages/events_dispatched across shard counts exits nonzero,
 // which is the fixed-seed CI smoke (`--quick --shards=4`).
 //
-// Rows land in BENCH_shard.json: events_per_sec, msgs_per_query,
-// speedup_vs_1shard, and measured per-phase wall time (lane drain, merge,
-// mediator dispatch, market tick, allocate) plus the lane-imbalance factor
-// per shard count — so the scaling curve is phase-attributed, not just a
-// single throughput number. On a single-core runner the speedup column
-// hovers around 1.0 (the fork-join drains serialize); the interesting
-// gates there are that shards=1 stays within noise of the unsharded
-// BENCH_scale.json baseline (the sharded core's bookkeeping is free when
-// unused) and that drain/merge overhead stays a small share of the wall
-// time.
+// Rows land in BENCH_shard.jsonl as mfield records: events_per_sec,
+// msgs_per_query, speedup_vs_1shard, and measured per-phase wall time
+// (lane drain, merge, mediator dispatch, market tick, allocate) plus the
+// lane-imbalance factor per shard count — so the scaling curve is
+// phase-attributed, not just a single throughput number. On a single-core
+// runner the speedup column hovers around 1.0 (the fork-join drains
+// serialize); the interesting gates there are that shards=1 stays within
+// noise of the unsharded BENCH_scale.jsonl baseline (the sharded core's
+// bookkeeping is free when unused) and that drain/merge overhead stays a
+// small share of the wall time.
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "util/monotonic_clock.h"
 #include "exec/thread_pool.h"
+#include "obs/metrics/metrics_reader.h"
+#include "util/monotonic_clock.h"
 
 namespace {
 
@@ -60,7 +62,7 @@ int main(int argc, char** argv) {
   using namespace qa;
   using util::kMillisecond;
   bench::BenchArgs args = bench::BenchArgs::Parse(argc, argv);
-  if (args.report_path.empty()) args.report_path = "BENCH_shard.json";
+  if (args.metrics_path.empty()) args.metrics_path = "BENCH_shard.jsonl";
   const uint64_t seed = args.seed;
   const int threads = exec::ThreadPool::ResolveThreadCount(args.threads);
   bench::Banner("Shard",
@@ -143,8 +145,11 @@ int main(int argc, char** argv) {
         PhaseMs(collector, obs::metrics::kPhaseMediatorDispatch);
     cell.tick_ms = PhaseMs(collector, obs::metrics::kPhaseMarketTick);
     cell.allocate_ms = PhaseMs(collector, obs::metrics::kPhaseAllocate);
-    cell.lane_imbalance =
-        collector.PerfJson().GetDouble("lane_imbalance", 0.0);
+    std::vector<int64_t> lane_nanos;
+    for (size_t lane = 0; lane < collector.num_lanes(); ++lane) {
+      lane_nanos.push_back(collector.lane_nanos(lane));
+    }
+    cell.lane_imbalance = obs::metrics::LaneImbalance(lane_nanos);
     cell.events_per_sec =
         cell.wall_s > 0
             ? static_cast<double>(cell.metrics.events_dispatched) /

@@ -13,7 +13,7 @@
 namespace qa::obs {
 
 /// A minimal JSON document model for the telemetry layer: the JSONL trace
-/// writer, the run reports and the qa_trace parser all speak through this
+/// writer, the metrics stream and the qa_trace parser all speak through this
 /// one type, so what the Recorder writes is exactly what the tools read.
 ///
 /// Integers and doubles are kept distinct (JSON itself does not) so that

@@ -11,7 +11,7 @@ enum class Kind : uint8_t { kCounter, kGauge, kHistogram };
 
 /// One registered metric. Every metric a run can ever emit is declared in
 /// the catalog (catalog.cc) and nowhere else; registries are built from it
-/// at startup so exposition order is deterministic, and lint rule
+/// at startup so the stats order is deterministic, and lint rule
 /// QA-OBS-003 cross-checks name lookups in code against it.
 struct MetricDef {
   std::string_view name;

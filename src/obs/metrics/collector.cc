@@ -1,6 +1,5 @@
 #include "obs/metrics/collector.h"
 
-#include <algorithm>
 #include <utility>
 
 namespace qa::obs::metrics {
@@ -17,16 +16,12 @@ util::StatusOr<std::unique_ptr<Collector>> Collector::OpenFile(
 }
 
 void Collector::Write(const Json& json) {
-#ifndef QA_METRICS_DISABLED
   if (sink_ == nullptr) return;
   line_buffer_.clear();
   json.DumpTo(line_buffer_);
   line_buffer_.push_back('\n');
   sink_->write(line_buffer_.data(),
                static_cast<std::streamsize>(line_buffer_.size()));
-#else
-  (void)json;
-#endif
 }
 
 void Collector::BeginRun(const RunMeta& meta) {
@@ -200,42 +195,20 @@ void Collector::Finish() {
 #endif
 }
 
-Json Collector::PerfJson() const {
-  Json perf = Json::MakeObject();
-#ifndef QA_METRICS_DISABLED
-  const std::vector<MetricDef>& catalog = Catalog();
-  Json phases = Json::MakeObject();
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    if (catalog[i].kind != Kind::kHistogram) continue;
-    const Histogram& h = registry_.histogram(static_cast<int>(i));
-    if (h.count == 0) continue;
-    Json phase = Json::MakeObject();
-    phase.Set("count", h.count);
-    phase.Set("total_ms", static_cast<double>(h.sum) * 1e-6);
-    phase.Set("mean_us", h.Mean() * 1e-3);
-    phases.Set(std::string(catalog[i].name), std::move(phase));
-  }
-  perf.Set("phases", std::move(phases));
-  if (!lane_nanos_.empty()) {
-    Json lanes = Json::MakeArray();
-    int64_t max_ns = 0, total_ns = 0;
-    for (size_t lane = 0; lane < lane_nanos_.size(); ++lane) {
-      Json row = Json::MakeObject();
-      row.Set("drain_ms", static_cast<double>(lane_nanos_[lane]) * 1e-6);
-      row.Set("events", lane_events_[lane]);
-      lanes.Append(std::move(row));
-      max_ns = std::max(max_ns, lane_nanos_[lane]);
-      total_ns += lane_nanos_[lane];
-    }
-    perf.Set("lanes", std::move(lanes));
-    const double mean_ns = static_cast<double>(total_ns) /
-                           static_cast<double>(lane_nanos_.size());
-    perf.Set("lane_imbalance",
-             mean_ns > 0.0 ? static_cast<double>(max_ns) / mean_ns : 0.0);
-  }
-  perf.Set("alarms", registry_.counter(kAlarms));
-#endif
-  return perf;
+void Collector::AddRun(const std::string& label, Json metrics) {
+  Json line = Json::MakeObject();
+  line.Set("type", "mrun");
+  line.Set("label", label);
+  line.Set("metrics", std::move(metrics));
+  Write(line);
+}
+
+void Collector::AddField(const std::string& key, Json value) {
+  Json line = Json::MakeObject();
+  line.Set("type", "mfield");
+  line.Set("key", key);
+  line.Set("value", std::move(value));
+  Write(line);
 }
 
 }  // namespace qa::obs::metrics

@@ -98,6 +98,8 @@ struct SampleRow {
 ///   mmeta   — once, run metadata
 ///   msample — per global period plus one final row (deterministic)
 ///   alarm   — watchdog alarms (deterministic, rising-edge latched)
+///   mrun    — a bench's labeled run result (AddRun)
+///   mfield  — a bench-level key/value (AddField)
 ///   mstat   — at Finish, one per catalog metric, in catalog order
 ///   mshards — at Finish, per-lane wall-time and event totals
 /// Deterministic record *counts*: everything except the histogram values
@@ -112,7 +114,8 @@ struct SampleRow {
 class Collector {
  public:
   /// A collect-only collector: no sink; counters, gauges, histograms and
-  /// watchdog state still accumulate for ExpositionText()/PerfJson().
+  /// lane slots still accumulate for in-memory reads (registry(),
+  /// lane_nanos()).
   Collector() = default;
 
   /// Streams metrics records into `sink` (not owned; must outlive this).
@@ -187,12 +190,15 @@ class Collector {
   /// order) and the mshards line, then flushes. Idempotent.
   void Finish();
 
-  /// Prometheus-style text exposition of the current registry state.
-  std::string ExpositionText() const { return registry_.ExpositionText(); }
+  /// Emits one mrun line: a bench's labeled run result (the
+  /// sim::MetricsToJson object). Run results are not probes, so unlike
+  /// every other record these are written under -DQA_METRICS_DISABLED too.
+  void AddRun(const std::string& label, Json metrics);
 
-  /// Per-phase and per-lane wall-time summary for embedding in a
-  /// RunReport (`perf` field) or bench row.
-  Json PerfJson() const;
+  /// Emits one mfield line: a bench-level key/value (seed, capacity
+  /// estimate, a sweep's per-cell row...). Written in both build modes,
+  /// like AddRun.
+  void AddField(const std::string& key, Json value);
 
   size_t num_lanes() const { return lane_nanos_.size(); }
   int64_t lane_nanos(size_t lane) const { return lane_nanos_[lane]; }

@@ -1,5 +1,6 @@
 #include "obs/metrics/metrics_reader.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <utility>
@@ -67,10 +68,27 @@ util::StatusOr<ParsedMetrics> ParsedMetrics::Parse(const std::string& text) {
         stat.sum = record.GetInt("sum");
         stat.min = record.GetInt("min");
         stat.max = record.GetInt("max");
+        if (const Json* buckets = record.Find("buckets");
+            buckets != nullptr && buckets->is_array()) {
+          for (const Json& pair : buckets->array()) {
+            if (!pair.is_array() || pair.array().size() != 2) continue;
+            stat.buckets.emplace_back(
+                pair.array()[0].AsInt(),
+                static_cast<uint64_t>(pair.array()[1].AsInt()));
+          }
+        }
       } else {
         stat.value = record.GetInt("value");
       }
       parsed.stats.push_back(std::move(stat));
+    } else if (type == "mrun") {
+      const Json* metrics = record.Find("metrics");
+      parsed.runs.push_back({record.GetString("label"),
+                             metrics != nullptr ? *metrics : Json()});
+    } else if (type == "mfield") {
+      const Json* value = record.Find("value");
+      parsed.fields.push_back(
+          {record.GetString("key"), value != nullptr ? *value : Json()});
     } else if (type == "mshards") {
       if (const Json* nanos = record.Find("lane_drain_ns");
           nanos != nullptr && nanos->is_array()) {
@@ -91,6 +109,18 @@ util::StatusOr<ParsedMetrics> ParsedMetrics::Parse(const std::string& text) {
     }
   }
   return parsed;
+}
+
+double LaneImbalance(const std::vector<int64_t>& lane_drain_ns) {
+  int64_t max_ns = 0, total_ns = 0;
+  for (int64_t ns : lane_drain_ns) {
+    max_ns = std::max(max_ns, ns);
+    total_ns += ns;
+  }
+  return total_ns > 0 ? static_cast<double>(max_ns) *
+                            static_cast<double>(lane_drain_ns.size()) /
+                            static_cast<double>(total_ns)
+                      : 0.0;
 }
 
 }  // namespace qa::obs::metrics

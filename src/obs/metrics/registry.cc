@@ -1,8 +1,6 @@
 #include "obs/metrics/registry.h"
 
 #include <algorithm>
-#include <bit>
-#include <cstdio>
 #include <limits>
 
 namespace qa::obs::metrics {
@@ -47,74 +45,6 @@ void Registry::MergeFrom(const Registry& other) {
     if (other.gauges_[i] != 0.0) gauges_[i] = other.gauges_[i];
     histograms_[i].MergeFrom(other.histograms_[i]);
   }
-}
-
-namespace {
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-void AppendInt(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  out->append(buf);
-}
-
-}  // namespace
-
-std::string Registry::ExpositionText() const {
-  const std::vector<MetricDef>& catalog = Catalog();
-  std::string out;
-  out.reserve(4096);
-  for (size_t i = 0; i < catalog.size(); ++i) {
-    const MetricDef& def = catalog[i];
-    out.append("# HELP ").append(def.name).append(" ").append(def.help);
-    out.append("\n# TYPE ").append(def.name).append(" ");
-    switch (def.kind) {
-      case Kind::kCounter: {
-        out.append("counter\n").append(def.name).append(" ");
-        AppendInt(&out, counters_[i]);
-        out.append("\n");
-        break;
-      }
-      case Kind::kGauge: {
-        out.append("gauge\n").append(def.name).append(" ");
-        AppendDouble(&out, gauges_[i]);
-        out.append("\n");
-        break;
-      }
-      case Kind::kHistogram: {
-        out.append("histogram\n");
-        const Histogram& h = histograms_[i];
-        uint64_t cumulative = 0;
-        for (int b = 0; b < Histogram::kBuckets; ++b) {
-          cumulative += h.buckets[static_cast<size_t>(b)];
-          // Empty buckets are skipped (except to seed le="0") to keep the
-          // exposition readable; the trailing +Inf line restores the total.
-          if (h.buckets[static_cast<size_t>(b)] == 0) continue;
-          out.append(def.name).append("_bucket{le=\"");
-          AppendInt(&out, Histogram::BucketUpperBound(b));
-          out.append("\"} ");
-          AppendInt(&out, static_cast<int64_t>(cumulative));
-          out.append("\n");
-        }
-        out.append(def.name).append("_bucket{le=\"+Inf\"} ");
-        AppendInt(&out, static_cast<int64_t>(h.count));
-        out.append("\n");
-        out.append(def.name).append("_sum ");
-        AppendInt(&out, h.sum);
-        out.append("\n");
-        out.append(def.name).append("_count ");
-        AppendInt(&out, static_cast<int64_t>(h.count));
-        out.append("\n");
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace qa::obs::metrics

@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "obs/metrics/catalog.h"
@@ -65,11 +64,11 @@ struct Histogram {
 
 /// All metric instruments of one collector, dense-indexed by the catalog
 /// (obs/metrics/catalog.h). Instantiating one registers every catalog
-/// metric up front, so exposition order — and the metrics sink's trailing
-/// stats block — is the catalog order regardless of which metrics a run
-/// happens to touch. Not thread-safe: per-shard wall-clock attribution
-/// goes through the Collector's per-lane slots and is folded in at
-/// fences/Finish on the mediator thread.
+/// metric up front, so the metrics sink's trailing stats block is in
+/// catalog order regardless of which metrics a run happens to touch. Not
+/// thread-safe: per-shard wall-clock attribution goes through the
+/// Collector's per-lane slots and is folded in at fences/Finish on the
+/// mediator thread.
 class Registry {
  public:
   Registry();
@@ -99,11 +98,6 @@ class Registry {
   /// counters and histogram contents add, gauges take the other's value
   /// when it was ever set.
   void MergeFrom(const Registry& other);
-
-  /// Prometheus-style text exposition of every catalog metric, in catalog
-  /// order. Histograms render as cumulative `_bucket{le=...}` lines plus
-  /// `_sum`/`_count`, the classic exposition shape.
-  std::string ExpositionText() const;
 
  private:
   std::vector<int64_t> counters_;

@@ -11,7 +11,7 @@
 namespace qa::sim::faults {
 
 /// Crash with state loss: the node goes down at `at` and is unreachable
-/// until `restart_at`. Unlike a scheduled Outage (state intact), every
+/// until `restart_at`. Unlike a PartitionFault (state intact), every
 /// query queued or running on the node at crash time is lost — clients
 /// detect the silence at the next market tick and resubmit — and the
 /// allocation mechanism is told about the restart (Allocator::
@@ -72,7 +72,12 @@ struct SurgeFault {
 /// unreachable from the rest of the federation (and from the mediators,
 /// which live on the majority side). State stays intact: queries already
 /// queued on a partitioned node keep executing and their results are
-/// delivered once the partition heals.
+/// delivered once the partition heals. Mechanisms that negotiate or probe
+/// (QA-NT, Greedy, BNQRD, TwoProbes) get no reply from an unreachable node
+/// (a timeout, counted as a decline) and route around it; blind ones
+/// (Random, RoundRobin) never consult AllocationContext::NodeOnline, so
+/// their assignments bounce and the query is resubmitted. A one-node
+/// partition is the classic scheduled outage.
 struct PartitionFault {
   std::vector<catalog::NodeId> nodes;
   util::VTime from = 0;

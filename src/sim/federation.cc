@@ -15,21 +15,6 @@ namespace qa::sim {
 
 namespace {
 
-/// The fault schedule a run actually executes: the configured FaultPlan
-/// plus one single-node partition per legacy Outage (same [from, until)
-/// unreachable-but-state-intact semantics).
-faults::FaultPlan EffectivePlan(const FederationConfig& config) {
-  faults::FaultPlan plan = config.faults;
-  for (const Outage& outage : config.outages) {
-    faults::PartitionFault partition;
-    partition.nodes = {outage.node};
-    partition.from = outage.from;
-    partition.until = outage.until;
-    plan.partitions.push_back(std::move(partition));
-  }
-  return plan;
-}
-
 /// Every counter name a run can ever Count(), in the canonical emission
 /// order. Traced runs pre-register all of them at t=0 (a Count of 0
 /// creates the stat), so the recorder's trailing stats block lists the
@@ -48,6 +33,12 @@ constexpr const char* kCounterNames[] = {
 }  // namespace
 
 util::Status ValidateConfig(const FederationConfig& config, int num_nodes) {
+  if (num_nodes > EventStamp::kMaxNodes) {
+    return util::Status::InvalidArgument(
+        "num_nodes " + std::to_string(num_nodes) + " exceeds " +
+        std::to_string(EventStamp::kMaxNodes) +
+        ", the most nodes an event stamp can encode");
+  }
   if (config.period <= 0) {
     return util::Status::InvalidArgument(
         "period must be positive, got " + std::to_string(config.period));
@@ -93,21 +84,6 @@ util::Status ValidateConfig(const FederationConfig& config, int num_nodes) {
   }
   util::Status admission = config.admission.Validate();
   if (!admission.ok()) return admission;
-  for (size_t i = 0; i < config.outages.size(); ++i) {
-    const Outage& outage = config.outages[i];
-    if (outage.node < 0 || outage.node >= num_nodes) {
-      return util::Status::InvalidArgument(
-          "outages[" + std::to_string(i) + "]: node " +
-          std::to_string(outage.node) + " outside [0, " +
-          std::to_string(num_nodes) + ")");
-    }
-    if (outage.from < 0 || outage.until <= outage.from) {
-      return util::Status::InvalidArgument(
-          "outages[" + std::to_string(i) + "]: window [" +
-          std::to_string(outage.from) + ", " +
-          std::to_string(outage.until) + ") is empty or negative");
-    }
-  }
   util::Status solicitation = config.solicitation.Validate();
   if (!solicitation.ok()) return solicitation;
   util::Status clusters = config.cluster_plan.Validate(num_nodes);
@@ -164,7 +140,7 @@ Federation::Federation(const query::CostModel* cost_model,
     : cost_model_(cost_model),
       allocator_(allocator),
       config_(config),
-      injector_(EffectivePlan(config), static_cast<uint64_t>(config.seed)) {
+      injector_(config.faults, static_cast<uint64_t>(config.seed)) {
   assert(cost_model_ != nullptr);
   assert(allocator_ != nullptr);
   num_nodes_ = cost_model_->num_nodes();

@@ -27,25 +27,6 @@
 
 namespace qa::sim {
 
-/// A scheduled node outage: the node is unreachable during [from, until)
-/// but keeps its state (network-partition semantics) — queries already
-/// queued there keep executing. How new work is kept off the node depends
-/// on what the mechanism can observe, via AllocationContext::NodeOnline:
-/// mechanisms that negotiate or probe (QA-NT, Greedy, BNQRD, TwoProbes)
-/// get no reply from the unreachable node — the request times out, which
-/// counts as a decline — and route around it without penalty; blind
-/// mechanisms (Random, RoundRobin) never consult NodeOnline, so their
-/// assignments to the node bounce at the network layer and the query is
-/// resubmitted like any other failed placement.
-///
-/// This is the legacy compatibility spelling of a single-node
-/// faults::PartitionFault; prefer FederationConfig::faults for new code.
-struct Outage {
-  catalog::NodeId node = -1;
-  util::VTime from = 0;
-  util::VTime until = 0;
-};
-
 /// Timing and policy knobs of a federation run.
 struct FederationConfig {
   /// Market time period T (drives the allocator's period hooks).
@@ -60,11 +41,8 @@ struct FederationConfig {
   /// QA-NT refresh supply continuously and rejected queries retry without
   /// waiting a whole global period.
   int market_tick_divisor = 8;
-  /// Scheduled node outages (failure injection). Legacy shim: each entry
-  /// becomes a single-node faults::PartitionFault in the effective plan.
-  std::vector<Outage> outages;
   /// Declarative fault schedule (crashes with state loss, degraded
-  /// capacity, lossy/delayed links, partitions). Merged with `outages`.
+  /// capacity, lossy/delayed links, partitions, surges).
   faults::FaultPlan faults;
   /// Mediator retry backoff cap: after sustained all-decline market rounds
   /// the per-query retry interval escalates exponentially, but never past
@@ -143,12 +121,13 @@ struct FederationConfig {
 };
 
 /// Rejects misconfigured runs before they produce silent nonsense:
+/// more nodes than EventStamp can encode (EventStamp::kMaxNodes),
 /// non-positive period, market_tick_divisor < 1, negative message latency
 /// or retry budget, max_backoff_periods < 1, shards < 1, shed bounds < 1,
-/// malformed admission bands, malformed outage windows, and anything
-/// FaultPlan::Validate rejects. Federation::Run
-/// calls this at entry and aborts on error; callers building configs from
-/// external input should call it themselves and surface the Status.
+/// malformed admission bands, and anything FaultPlan::Validate rejects.
+/// Federation::Run calls this at entry and aborts on error; callers
+/// building configs from external input should call it themselves and
+/// surface the Status.
 util::Status ValidateConfig(const FederationConfig& config, int num_nodes);
 
 /// The tagged event payload of the federation's discrete-event loop.
@@ -439,8 +418,7 @@ class Federation : public allocation::AllocationContext {
   const query::CostModel* cost_model_;
   allocation::Allocator* allocator_;
   FederationConfig config_;
-  /// Compiled fault schedule: config_.faults plus config_.outages (each
-  /// outage becomes a single-node partition).
+  /// Compiled fault schedule (config_.faults).
   faults::FaultInjector injector_;
   int num_nodes_ = 0;
   /// The mediator lane (and, in inline mode, the only queue).

@@ -6,8 +6,8 @@
 
 namespace qa::sim {
 
-/// Renders a finished run's SimMetrics as the `metrics` object of the JSON
-/// run report (obs::RunReport): every scalar counter, response-time
+/// Renders a finished run's SimMetrics as the `metrics` object of a
+/// metrics-stream `mrun` record: every scalar counter, response-time
 /// percentiles (p50/p95/p99) and the per-class completion/drop/retry
 /// breakdowns. See src/obs/SCHEMA.md for the field list.
 obs::Json MetricsToJson(const SimMetrics& metrics);

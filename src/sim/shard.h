@@ -44,6 +44,10 @@ struct EventStamp {
   static constexpr int kCounterBits = 40;
   static constexpr int kSublaneBits = 1;
   static constexpr uint64_t kCounterMask = (uint64_t{1} << kCounterBits) - 1;
+  /// The most nodes the node+1 field can encode (2^23 - 1); ValidateConfig
+  /// rejects larger federations.
+  static constexpr int kMaxNodes =
+      (1 << (64 - kCounterBits - kSublaneBits)) - 1;
 
   /// Mediator-lane stamp: plain scheduling counter, sorts before every
   /// node-lane stamp at equal time.
@@ -58,8 +62,7 @@ struct EventStamp {
     assert(node >= 0);
     assert(sublane == 0 || sublane == 1);
     assert(counter <= kCounterMask);
-    assert(static_cast<uint64_t>(node) + 1 <
-           (uint64_t{1} << (64 - kCounterBits - kSublaneBits)));
+    assert(node < kMaxNodes);
     return ((static_cast<uint64_t>(node) + 1)
             << (kCounterBits + kSublaneBits)) |
            (static_cast<uint64_t>(sublane) << kCounterBits) | counter;

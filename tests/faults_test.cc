@@ -121,19 +121,32 @@ TEST(ValidateConfigTest, RejectsMisconfiguredRuns) {
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
   config.query_deadline = 0;
 
-  config.outages.push_back({/*node=*/7, kSecond, 2 * kSecond});
+  // A malformed FaultPlan is caught through the same funnel.
+  faults::PartitionFault& cut = config.faults.partitions.emplace_back();
+  cut.nodes = {/*node=*/7};
+  cut.from = kSecond;
+  cut.until = 2 * kSecond;
   util::Status s = ValidateConfig(config, 2);
   ASSERT_FALSE(s.ok());
-  EXPECT_NE(s.message().find("outages[0]"), std::string::npos);
-  config.outages[0].node = 0;
-  config.outages[0].until = config.outages[0].from;  // empty window
+  EXPECT_NE(s.message().find("partitions[0]"), std::string::npos);
+  cut.nodes = {0};
+  cut.until = cut.from;  // empty window
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
-  config.outages[0].until = 2 * kSecond;
+  cut.until = 2 * kSecond;
   EXPECT_TRUE(ValidateConfig(config, 2).ok());
 
-  // A malformed FaultPlan is caught through the same funnel.
   config.faults.crashes.push_back({0, 2 * kSecond, kSecond});
   EXPECT_FALSE(ValidateConfig(config, 2).ok());
+}
+
+// EventStamp packs node+1 into 23 bits, so 2^23 - 1 nodes is the largest
+// federation whose event order stays unambiguous. Validation alone: no
+// federation is built.
+TEST(ValidateConfigTest, RejectsMoreNodesThanEventStampsEncode) {
+  FederationConfig config;
+  EXPECT_EQ(ValidateConfig(config, 8'388'608).code(),
+            util::StatusCode::kInvalidArgument);
+  EXPECT_TRUE(ValidateConfig(config, 8'388'607).ok());
 }
 
 TEST(ValidateConfigTest, RejectsMisconfiguredSolicitation) {

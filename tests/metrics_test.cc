@@ -2,11 +2,13 @@
 // histogram boundary arithmetic, registry merge semantics, hand-computed
 // watchdog scenarios (oscillation trip, starvation trip, non-convergence
 // trip, steady-state silence, rising-edge latching), the collector's JSONL
-// stream round-tripped through the same reader the tools use, and an
+// stream (samples, alarms, run results, fields, histogram buckets)
+// round-tripped through the same reader the tools use, and an
 // end-to-end federation run proving the metrics side channel never
 // perturbs simulation results. The whole file builds in both metrics
 // modes; collector-stream expectations flip under -DQA_METRICS_DISABLED
-// (the null-probe contract: the subsystem writes nothing at all).
+// (the null-probe contract: no probe writes anything; only a bench's
+// mrun/mfield results still reach the sink).
 
 #include <gtest/gtest.h>
 
@@ -15,6 +17,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/experiment_runner.h"
@@ -159,30 +162,6 @@ TEST(RegistryTest, InstrumentsAndMerge) {
   Registry untouched;
   c.MergeFrom(untouched);
   EXPECT_DOUBLE_EQ(c.gauge(kEarningsCv), 0.5);
-}
-
-TEST(RegistryTest, ExpositionTextCoversEveryMetricInCatalogOrder) {
-  Registry r;
-  r.SetCounter(kMessages, 42);
-  r.SetGauge(kLogPriceVariance, 0.125);
-  r.Observe(kPhaseRunTotal, 3);
-  std::string text = r.ExpositionText();
-  EXPECT_NE(text.find("# TYPE qa_messages_total counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_messages_total 42"), std::string::npos);
-  EXPECT_NE(text.find("qa_market_log_price_variance 0.125"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_phase_run_total_ns_bucket{le=\"3\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_phase_run_total_ns_bucket{le=\"+Inf\"} 1"),
-            std::string::npos);
-  EXPECT_NE(text.find("qa_phase_run_total_ns_count 1"), std::string::npos);
-  // Catalog order: the first counter leads, the last histogram trails.
-  size_t first = text.find("qa_events_dispatched_total");
-  size_t last = text.find("qa_phase_mediator_dispatch_ns");
-  ASSERT_NE(first, std::string::npos);
-  ASSERT_NE(last, std::string::npos);
-  EXPECT_LT(first, last);
 }
 
 // ---------------------------------------------------------------------------
@@ -409,20 +388,69 @@ TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
   EXPECT_EQ(m.lane_events[1], 10);
 }
 
-TEST(CollectorTest, PerfJsonSummarizesPhasesAndLanes) {
-  Collector collector;  // collect-only
-  collector.SetNumLanes(2);
-  collector.RecordPhase(Phase::kRunTotal, 4000);
-  collector.RecordLaneDrain(0, 1000, 4);
-  collector.RecordLaneDrain(1, 3000, 12);
-  Json perf = collector.PerfJson();
+// The one stream a bench writes: run results (mrun), bench-level fields
+// (mfield) and the trailing mstat block with histogram buckets, all read
+// back through the reader qa_perf uses.
+TEST(CollectorTest, RunFieldAndBucketRecordsRoundTrip) {
+  std::ostringstream sink;
+  {
+    Collector collector(&sink);
+    collector.AddField("bench", "Fig. 4");
+    collector.AddField("seed", int64_t{42});
+    collector.BeginRun(RunMeta{});
+    collector.RecordPhase(Phase::kRunTotal, 3);
+    collector.RecordPhase(Phase::kRunTotal, 5);
+    collector.RecordPhase(Phase::kRunTotal, 6);
+    collector.RecordPhase(Phase::kAllocate, 1500, kAllocProbeStride);
+    sim::SimMetrics run;
+    run.completed = 10;
+    run.messages = 33;
+    collector.AddRun("QA-NT", sim::MetricsToJson(run));
+    collector.AddRun("Random", Json::MakeObject());
+    collector.Finish();
+  }
+
+  util::StatusOr<ParsedMetrics> parsed = ParsedMetrics::Parse(sink.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const ParsedMetrics& m = parsed.value();
+
+  ASSERT_EQ(m.fields.size(), 2u);
+  EXPECT_EQ(m.fields[0].key, "bench");
+  EXPECT_EQ(m.fields[0].value.AsString(), "Fig. 4");
+  EXPECT_EQ(m.fields[1].key, "seed");
+  EXPECT_EQ(m.fields[1].value.AsInt(), 42);
+
+  ASSERT_EQ(m.runs.size(), 2u);
+  EXPECT_EQ(m.runs[0].label, "QA-NT");
+  EXPECT_EQ(m.runs[0].metrics.GetInt("completed", -1), 10);
+  EXPECT_EQ(m.runs[0].metrics.GetInt("messages", -1), 33);
+  EXPECT_EQ(m.runs[1].label, "Random");
+  EXPECT_TRUE(m.runs[1].metrics.is_object());
+
+  // The mstat block lists every catalog metric in catalog order.
+  ASSERT_EQ(m.stats.size(), static_cast<size_t>(kMetricCount));
+  for (size_t i = 0; i < m.stats.size(); ++i) {
+    EXPECT_EQ(m.stats[i].name, Catalog()[i].name);
+  }
+  // Buckets are the non-empty [lower bound, count] pairs: 3 lands in
+  // [2, 3], 5 and 6 in [4, 7]; the sampled allocate probe carries its
+  // stride as weight.
+  const MetricStat& run_total = m.stats[static_cast<size_t>(kPhaseRunTotal)];
+  EXPECT_EQ(run_total.count, 3u);
+  EXPECT_EQ(run_total.sum, 14);
+  using Bucket = std::pair<int64_t, uint64_t>;
+  EXPECT_EQ(run_total.buckets, (std::vector<Bucket>{{2, 1}, {4, 2}}));
+  const MetricStat& allocate = m.stats[static_cast<size_t>(kPhaseAllocate)];
+  EXPECT_EQ(allocate.buckets,
+            (std::vector<Bucket>{{1024, kAllocProbeStride}}));
+  EXPECT_TRUE(m.stats[static_cast<size_t>(kMessages)].buckets.empty());
+}
+
+TEST(MetricsReaderTest, LaneImbalanceIsMaxOverMean) {
   // max/mean of {1000, 3000} = 3000/2000 = 1.5.
-  EXPECT_DOUBLE_EQ(perf.GetDouble("lane_imbalance", 0.0), 1.5);
-  const Json* phases = perf.Find("phases");
-  ASSERT_NE(phases, nullptr);
-  const Json* run_total = phases->Find("qa_phase_run_total_ns");
-  ASSERT_NE(run_total, nullptr);
-  EXPECT_EQ(run_total->GetInt("count", 0), 1);
+  EXPECT_DOUBLE_EQ(LaneImbalance({1000, 3000}), 1.5);
+  EXPECT_DOUBLE_EQ(LaneImbalance({0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(LaneImbalance({}), 0.0);
 }
 
 TEST(MetricsReaderTest, UnknownRecordTypeIsAnError) {
@@ -458,11 +486,24 @@ TEST(MetricsGateTest, NullProbeNeverRunsAndDisabledBuildWritesNothing) {
     collector.Finish();
   }
 #ifdef QA_METRICS_DISABLED
-  // The whole subsystem compiles away: not a byte reaches the sink.
+  // Every probe compiles away: not a byte reaches the sink.
   EXPECT_TRUE(sink.str().empty());
 #else
   EXPECT_FALSE(sink.str().empty());
 #endif
+}
+
+TEST(MetricsGateTest, RunResultsAreWrittenInBothBuildModes) {
+  // mrun/mfield records are a bench's results, not probes: the disabled
+  // build compiles the probes away but still writes them.
+  std::ostringstream sink;
+  Collector collector(&sink);
+  collector.AddField("seed", int64_t{7});
+  collector.AddRun("QA-NT", Json::MakeObject());
+  util::StatusOr<ParsedMetrics> parsed = ParsedMetrics::Parse(sink.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  EXPECT_EQ(parsed.value().fields.size(), 1u);
+  EXPECT_EQ(parsed.value().runs.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@
 #include "obs/analysis.h"
 #include "obs/json.h"
 #include "obs/recorder.h"
-#include "obs/report.h"
 #include "obs/snapshot.h"
 #include "obs/trace_reader.h"
 #include "obs/trace_schema.h"
@@ -512,26 +511,6 @@ TEST(AnalysisTest, FaultRecoveryReportDetectsReconvergence) {
   EXPECT_EQ(after_restart.fault_period, 2);
   ASSERT_TRUE(after_restart.reconverged);
   EXPECT_EQ(after_restart.recovery_period, 3);
-}
-
-// ------------------------------------------------------------- RunReport
-
-TEST(RunReportTest, DocumentShape) {
-  RunReport report("Fig. 4");
-  report.SetField("seed", int64_t{42});
-  Json metrics = Json::MakeObject();
-  metrics.Set("completed", int64_t{10});
-  report.Add("QA-NT", std::move(metrics));
-
-  Json doc = report.ToJson();
-  EXPECT_EQ(doc.GetInt("schema"), kReportSchemaVersion);
-  EXPECT_EQ(doc.GetString("bench"), "Fig. 4");
-  EXPECT_EQ(doc.GetInt("seed"), 42);
-  const Json* runs = doc.Find("runs");
-  ASSERT_NE(runs, nullptr);
-  ASSERT_EQ(runs->array().size(), 1u);
-  EXPECT_EQ(runs->array()[0].GetString("label"), "QA-NT");
-  EXPECT_EQ(runs->array()[0].Find("metrics")->GetInt("completed"), 10);
 }
 
 // --------------------------------------------------------------- Logging

@@ -294,7 +294,7 @@ TEST_F(FederationTest, OutagesBounceBlindAssignmentsButEverythingCompletes) {
   FederationConfig config;
   config.max_retries = 500;
   // Node 0 unreachable during [1 s, 6 s).
-  config.outages.push_back({0, 1 * kSecond, 6 * kSecond});
+  config.faults.partitions.push_back({{0}, 1 * kSecond, 6 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
   SimMetrics m = fed.Run(MakeTrace(30, 300 * kMillisecond, 0));
   EXPECT_GT(m.bounced, 0);
@@ -311,7 +311,7 @@ TEST_F(FederationTest, QaNtRoutesAroundOutageWithoutBounces) {
   FederationConfig config;
   config.period = 500 * kMillisecond;
   config.max_retries = 500;
-  config.outages.push_back({0, 1 * kSecond, 6 * kSecond});
+  config.faults.partitions.push_back({{0}, 1 * kSecond, 6 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
   SimMetrics m = fed.Run(MakeTrace(20, 400 * kMillisecond, 0));
   // The market never selects an unreachable node: no network bounces.
@@ -339,7 +339,7 @@ TEST_F(FederationTest, QaNtOutageMessageAccountingByHand) {
   auto alloc = allocation::CreateAllocator("QA-NT", params);
   FederationConfig config;
   config.period = 500 * kMillisecond;
-  config.outages.push_back({0, 2 * kSecond, 5 * kSecond});
+  config.faults.partitions.push_back({{0}, 2 * kSecond, 5 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
 
   SimMetrics m = fed.Run(MakeTrace(10, 1 * kSecond, 0));
@@ -373,7 +373,7 @@ TEST_F(FederationTest, RoundRobinOutageMessageAccountingByHand) {
   params.cost_model = model.get();
   auto alloc = allocation::CreateAllocator("RoundRobin", params);
   FederationConfig config;
-  config.outages.push_back({0, 2 * kSecond, 5 * kSecond});
+  config.faults.partitions.push_back({{0}, 2 * kSecond, 5 * kSecond});
   Federation fed(model.get(), alloc.get(), config);
 
   SimMetrics m = fed.Run(MakeTrace(10, 1 * kSecond, 0));

@@ -12,7 +12,9 @@
 //     sharded runs;
 //   * final deterministic counters and market-health gauges;
 //   * the watchdog alarm table (price oscillation, starvation,
-//     non-convergence), when any alarm latched.
+//     non-convergence), when any alarm latched;
+//   * the bench's run results (`mrun` records): completed, dropped,
+//     mean/p99 response time and messages per labeled run.
 //
 // All parsing goes through obs::metrics::ParsedMetrics — the same reader
 // the tests use — so anything this tool prints is schema-checked.
@@ -20,7 +22,6 @@
 // Usage:
 //   qa_perf METRICS.jsonl [--csv]
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
@@ -100,7 +101,8 @@ int Run(const Options& opts) {
   }
   std::cout << metrics.samples.size() << " sample(s), "
             << metrics.alarms.size() << " alarm(s), " << metrics.stats.size()
-            << " final stat(s)\n\n";
+            << " final stat(s), " << metrics.runs.size() << " run(s), "
+            << metrics.fields.size() << " field(s)\n\n";
 
   // ---- Phase wall-time table, in catalog order, with share of run total.
   const obs::metrics::MetricStat* run_total =
@@ -136,11 +138,8 @@ int Run(const Options& opts) {
   // ---- Per-lane drain (sharded runs).
   if (metrics.lane_drain_ns.size() > 1) {
     util::TableWriter lane_table({"Lane", "Drain (ms)", "Events"});
-    int64_t max_ns = 0, sum_ns = 0;
     for (size_t lane = 0; lane < metrics.lane_drain_ns.size(); ++lane) {
       int64_t ns = metrics.lane_drain_ns[lane];
-      max_ns = std::max(max_ns, ns);
-      sum_ns += ns;
       lane_table.AddRow(static_cast<int64_t>(lane),
                         Fmt(static_cast<double>(ns) * 1e-6),
                         lane < metrics.lane_events.size()
@@ -148,11 +147,10 @@ int Run(const Options& opts) {
                             : 0);
     }
     Emit(lane_table, opts.csv);
-    double mean_ns = static_cast<double>(sum_ns) /
-                     static_cast<double>(metrics.lane_drain_ns.size());
-    if (mean_ns > 0.0) {
-      std::cout << "lane imbalance (max/mean drain): "
-                << Fmt(static_cast<double>(max_ns) / mean_ns) << "\n\n";
+    double imbalance = obs::metrics::LaneImbalance(metrics.lane_drain_ns);
+    if (imbalance > 0.0) {
+      std::cout << "lane imbalance (max/mean drain): " << Fmt(imbalance)
+                << "\n\n";
     }
   }
 
@@ -188,7 +186,21 @@ int Run(const Options& opts) {
     }
     Emit(alarm_table, opts.csv);
   } else {
-    std::cout << "alarms: none — no watchdog tripped\n";
+    std::cout << "alarms: none — no watchdog tripped\n\n";
+  }
+
+  // ---- Bench run results.
+  if (!metrics.runs.empty()) {
+    util::TableWriter run_table({"Run", "Completed", "Dropped", "Mean (ms)",
+                                 "p99 (ms)", "Messages"});
+    for (const obs::metrics::RunRecord& run : metrics.runs) {
+      run_table.AddRow(run.label, run.metrics.GetInt("completed"),
+                       run.metrics.GetInt("dropped"),
+                       Fmt(run.metrics.GetDouble("mean_ms")),
+                       Fmt(run.metrics.GetDouble("p99_ms")),
+                       run.metrics.GetInt("messages"));
+    }
+    Emit(run_table, opts.csv);
   }
   return 0;
 }
