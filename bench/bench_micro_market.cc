@@ -3,8 +3,14 @@
 // iteration, and the discrete-event queue. These bound the runtime
 // overhead a node pays for running the query economy (the paper argues it
 // is negligible next to query execution).
+//
+// Takes every Google Benchmark flag, plus the --quick flag all benches
+// share: it maps to a short --benchmark_min_time for a smoke pass.
 
 #include <benchmark/benchmark.h>
+
+#include <cstring>
+#include <vector>
 
 #include "market/qa_nt.h"
 #include "market/tatonnement.h"
@@ -109,4 +115,19 @@ BENCHMARK(BM_EventQueueThroughput);
 }  // namespace
 }  // namespace qa
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  // Seconds per benchmark as a plain double: the syntax Google Benchmark
+  // 1.7 parses (newer releases still accept it).
+  char quick_min_time[] = "--benchmark_min_time=0.01";
+  std::vector<char*> args;
+  for (int i = 0; i < argc; ++i) {
+    args.push_back(std::strcmp(argv[i], "--quick") == 0 ? quick_min_time
+                                                         : argv[i]);
+  }
+  int count = static_cast<int>(args.size());
+  benchmark::Initialize(&count, args.data());
+  if (benchmark::ReportUnrecognizedArguments(count, args.data())) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -121,13 +121,10 @@ class Allocator {
     (void)now;
   }
 
-  /// Offers the mechanism a fork-join runner for intra-decision
-  /// parallelism (the federation forwards its shard runner here). Purely
-  /// an execution hint: implementations that use it must produce byte-
-  /// identical results with or without it, at any concurrency (QA-NT's
-  /// chunked bid scan keeps the sequential offer order by construction).
-  /// nullptr (the default state) means run sequentially. The runner must
-  /// outlive the allocator or be reset first.
+  /// Vestigial no-op. Every mechanism decides sequentially on the
+  /// mediator lane and the federation never calls this; the virtual is
+  /// kept only because perfbench/cpp/wrappers.h overrides it (forwarding
+  /// to the wrapped mechanism). Delete it together with that override.
   virtual void SetTaskRunner(const util::TaskRunner* runner) {
     (void)runner;
   }

@@ -95,17 +95,6 @@ MechanismProperties QaNtAllocator::properties() const {
   return p;
 }
 
-namespace {
-
-/// Below this many solicited nodes a fork-join dispatch costs more than
-/// the scan itself; the sequential loop also remains the semantics
-/// reference the chunked scan must reproduce exactly.
-constexpr size_t kParallelScanThreshold = 192;
-/// Minimum nodes per chunk, so tiny tails do not become pool tasks.
-constexpr size_t kMinChunk = 64;
-
-}  // namespace
-
 /// Salts the top tier's per-arrival sampling stream so its draws never
 /// alias the tier-2 member sampling made for the same arrival.
 constexpr uint64_t kTopTierSeedSalt = 0x746965722d746f70ULL;  // "tier-top"
@@ -220,50 +209,13 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
     // kAllocProbeStride) and the scan goes untimed.
     scan_start = metrics_->TakePhaseMark();
   }
-  if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      solicited_.size() >= kParallelScanThreshold) {
-    // Chunked parallel bid scan. SolicitNodes fills solicited_ in
-    // ascending id order, every agent's OnRequest touches only that
-    // agent's own state (plus read-only shared config), and the chunk
-    // offer lists are concatenated in chunk order below — so the offers_
-    // this produces are byte-identical to the sequential loop in the else
-    // branch, at any chunk count and any thread count.
-    size_t chunks = std::min(
-        static_cast<size_t>(runner_->concurrency()),
-        (solicited_.size() + kMinChunk - 1) / kMinChunk);
-    chunk_offers_.resize(chunks);
-    chunk_asked_.assign(chunks, 0);
-    size_t per_chunk = (solicited_.size() + chunks - 1) / chunks;
-    runner_->ParallelFor(
-        static_cast<int>(chunks), [&](int chunk) {
-          size_t c = static_cast<size_t>(chunk);
-          size_t begin = c * per_chunk;
-          size_t end = std::min(begin + per_chunk, solicited_.size());
-          std::vector<catalog::NodeId>& local = chunk_offers_[c];
-          local.clear();
-          int asked_here = 0;
-          for (size_t i = begin; i < end; ++i) {
-            catalog::NodeId j = solicited_[i];
-            if (!context.NodeOnline(j)) continue;
-            ++asked_here;
-            if (EnsureAgent(j).OnRequest(k)) local.push_back(j);
-          }
-          chunk_asked_[c] = asked_here;
-        });
-    for (size_t c = 0; c < chunks; ++c) {
-      asked += chunk_asked_[c];
-      offers_.insert(offers_.end(), chunk_offers_[c].begin(),
-                     chunk_offers_[c].end());
-    }
-  } else {
-    for (catalog::NodeId j : solicited_) {
-      // An offline node's agent is simply unreachable: the request times
-      // out and no offer (or price move) happens. Autonomy makes failure
-      // handling free — the market routes around dead nodes by itself.
-      if (!context.NodeOnline(j)) continue;
-      ++asked;
-      if (EnsureAgent(j).OnRequest(k)) offers_.push_back(j);
-    }
+  for (catalog::NodeId j : solicited_) {
+    // An offline node's agent is simply unreachable: the request times
+    // out and no offer (or price move) happens. Autonomy makes failure
+    // handling free — the market routes around dead nodes by itself.
+    if (!context.NodeOnline(j)) continue;
+    ++asked;
+    if (EnsureAgent(j).OnRequest(k)) offers_.push_back(j);
   }
   QA_METRICS(metrics_) {
     if (scan_start != 0) {
@@ -286,34 +238,11 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
       best = j;
     }
   }
-  // Accept/reject notifications touch disjoint agents, so under broadcast
-  // (offers ~ N) they chunk out on the runner just like the scan; the
-  // winner is already fixed, so the interleaving cannot matter.
-  if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      offers_.size() >= kParallelScanThreshold) {
-    size_t chunks =
-        std::min(static_cast<size_t>(runner_->concurrency()),
-                 (offers_.size() + kMinChunk - 1) / kMinChunk);
-    size_t per_chunk = (offers_.size() + chunks - 1) / chunks;
-    runner_->ParallelFor(static_cast<int>(chunks), [&](int chunk) {
-      size_t begin = static_cast<size_t>(chunk) * per_chunk;
-      size_t end = std::min(begin + per_chunk, offers_.size());
-      for (size_t i = begin; i < end; ++i) {
-        catalog::NodeId j = offers_[i];
-        if (j == best) {
-          agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
-        } else {
-          agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
-        }
-      }
-    });
-  } else {
-    for (catalog::NodeId j : offers_) {
-      if (j == best) {
-        agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
-      } else {
-        agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
-      }
+  for (catalog::NodeId j : offers_) {
+    if (j == best) {
+      agents_[static_cast<size_t>(j)]->OnOfferAccepted(k);
+    } else {
+      agents_[static_cast<size_t>(j)]->OnOfferRejected(k);
     }
   }
   return best;
@@ -389,37 +318,17 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   // Record the tick *before* rolling: EnsureAgent replays rollovers for
   // lazily built agents up to exactly this time.
   last_rollover_now_ = now;
-  auto roll_range = [this, now](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      if (agents_[i] == nullptr) continue;
-      while (next_refresh_[i] <= now) {
-        agents_[i]->EndPeriod();
-        agents_[i]->BeginPeriod();
-        next_refresh_[i] += period_;
-      }
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    if (agents_[i] == nullptr) continue;
+    while (next_refresh_[i] <= now) {
+      agents_[i]->EndPeriod();
+      agents_[i]->BeginPeriod();
+      next_refresh_[i] += period_;
     }
-  };
-  // The batched per-tick rollover: each agent's rollover is a pure
-  // function of its own state (EndPeriod decay + BeginPeriod re-solve),
-  // so contiguous id chunks run concurrently without any cross-agent
-  // ordering to preserve.
-  if (runner_ != nullptr && runner_->concurrency() > 1 &&
-      agents_.size() >= kParallelScanThreshold) {
-    size_t chunks =
-        std::min(static_cast<size_t>(runner_->concurrency()),
-                 (agents_.size() + kMinChunk - 1) / kMinChunk);
-    size_t per_chunk = (agents_.size() + chunks - 1) / chunks;
-    runner_->ParallelFor(static_cast<int>(chunks), [&](int chunk) {
-      size_t begin = static_cast<size_t>(chunk) * per_chunk;
-      roll_range(begin, std::min(begin + per_chunk, agents_.size()));
-    });
-  } else {
-    roll_range(0, agents_.size());
   }
   if (cluster_market_ != nullptr) {
     // Sub-mediators publish after their members rolled: the aggregate a
     // cluster trades this period is the members' post-rollover supply.
-    // Strictly sequential on the mediator lane — no cross-chunk state.
     cluster_market_->OnTick(now, remaining_view_);
   }
   QA_METRICS(metrics_) {

@@ -89,20 +89,6 @@ class QaNtAllocator : public Allocator {
   /// phase is preserved so the restart does not re-synchronize the market.
   void OnNodeRestart(catalog::NodeId node, util::VTime now) override;
 
-  /// Enables the fork-join fast paths: the per-arrival bid scan and the
-  /// per-tick rollover chunk the agent range and fan the chunks out on
-  /// `runner`. Exactness is by construction — each agent's OnRequest /
-  /// rollover touches only that agent's state (agents are autonomous, the
-  /// whole point of the mechanism), chunks are contiguous id ranges, and
-  /// chunk results are concatenated in chunk order, reproducing the
-  /// sequential left-to-right order byte for byte at any concurrency.
-  /// qa_lint's QA-SHD-002 pass holds the callbacks to that contract: a
-  /// ParallelFor chunk lambda touching a cross-chunk aggregate
-  /// (total_messages_, arrival_seq_, metrics_) is a finding.
-  void SetTaskRunner(const util::TaskRunner* runner) override {
-    runner_ = runner;
-  }
-
   /// Wall-clock phase profiling of the mechanism's two internal stages:
   /// the staggered period rollover (OnPeriodStart) and the solicited-agent
   /// bid scan (Allocate). Side channel only — readings never influence the
@@ -169,8 +155,6 @@ class QaNtAllocator : public Allocator {
   std::vector<std::unique_ptr<market::QaNtAgent>> agents_;
   /// Next boundary time of each agent's own (staggered) period.
   std::vector<util::VTime> next_refresh_;
-  /// Fork-join runner for the bid scan / rollover (null = sequential).
-  const util::TaskRunner* runner_ = nullptr;
   /// Phase-profiling collector (null = no probes).
   obs::metrics::Collector* metrics_ = nullptr;
   /// Top tier of the two-tier market; null when the plan is flat.
@@ -182,9 +166,6 @@ class QaNtAllocator : public Allocator {
   std::vector<catalog::NodeId> solicited_;
   std::vector<catalog::NodeId> top_solicited_;
   std::vector<catalog::NodeId> offers_;
-  /// Per-chunk scratch of the parallel bid scan.
-  std::vector<std::vector<catalog::NodeId>> chunk_offers_;
-  std::vector<int> chunk_asked_;
 };
 
 }  // namespace qa::allocation

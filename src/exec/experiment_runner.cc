@@ -61,22 +61,8 @@ int ExperimentRunner::ResolvedThreads(int requested) {
 std::vector<RunResult> ExperimentRunner::Run(
     const std::vector<RunSpec>& specs) const {
   std::vector<RunResult> results(specs.size());
-  // Nested-parallelism budget: the thread budget is spent at exactly one
-  // level. A grid of many cells parallelizes across cells (each run
-  // internally serial); a single cell that asked for a sharded core gets
-  // the whole pool as its intra-run fork-join runner instead. Never both —
-  // S shard drains on each of T grid workers would oversubscribe the
-  // machine T-fold, and a sharded run is byte-identical to its inline
-  // twin anyway, so which level wins is purely a scheduling choice.
-  if (threads_ > 1 && specs.size() == 1 && specs[0].config.shards > 1 &&
-      specs[0].config.runner == nullptr) {
-    ThreadPool pool(threads_);
-    PoolRunner runner(&pool);
-    RunSpec spec = specs[0];
-    spec.config.runner = &runner;
-    results[0] = RunSpecOnce(spec);
-    return results;
-  }
+  // Grid cells are the runner's only parallelism: each run stays
+  // internally serial unless its own spec carries a shard runner.
   if (threads_ <= 1 || specs.size() <= 1) {
     for (size_t i = 0; i < specs.size(); ++i) {
       results[i] = RunSpecOnce(specs[i]);

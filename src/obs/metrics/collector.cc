@@ -27,6 +27,7 @@ void Collector::Write(const Json& json) {
 void Collector::BeginRun(const RunMeta& meta) {
 #ifndef QA_METRICS_DISABLED
   finished_ = false;
+  began_ = true;
   if (sink_ == nullptr) return;
   Json line = Json::MakeObject();
   line.Set("type", "mmeta");
@@ -144,6 +145,12 @@ void Collector::Finish() {
   if (finished_) return;
   finished_ = true;
   if (sink_ == nullptr) return;
+  // A collector that metered no run has nothing to summarize: an all-zero
+  // mstat block would read as a measured (empty) phase profile.
+  if (!began_) {
+    sink_->flush();
+    return;
+  }
   const std::vector<MetricDef>& catalog = Catalog();
   for (size_t i = 0; i < catalog.size(); ++i) {
     const MetricDef& def = catalog[i];

@@ -102,6 +102,7 @@ struct SampleRow {
 ///   mfield  — a bench-level key/value (AddField)
 ///   mstat   — at Finish, one per catalog metric, in catalog order
 ///   mshards — at Finish, per-lane wall-time and event totals
+/// (mstat/mshards only once a BeginRun has metered a run.)
 /// Deterministic record *counts*: everything except the histogram values
 /// inside mstat/mshards is byte-identical across shard/thread counts, and
 /// even those keep a fixed record count (tests/metrics_test.cc pins this).
@@ -187,7 +188,8 @@ class Collector {
   void Alarm(const AlarmRecord& alarm);
 
   /// Writes the trailing mstat block (one line per catalog metric, catalog
-  /// order) and the mshards line, then flushes. Idempotent.
+  /// order) and the mshards line, then flushes. Idempotent. Writes no
+  /// block when no BeginRun preceded it (a stream of mrun/mfield only).
   void Finish();
 
   /// Emits one mrun line: a bench's labeled run result (the
@@ -222,6 +224,8 @@ class Collector {
   std::vector<uint64_t> lane_events_;
   int64_t phase_mark_ = 0;
   bool finished_ = false;
+  /// Set by BeginRun: only a metered run has an mstat block to write.
+  bool began_ = false;
   std::string line_buffer_;
 };
 

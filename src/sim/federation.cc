@@ -165,10 +165,6 @@ Federation::Federation(const query::CostModel* cost_model,
     lanes_ = std::vector<ShardLane>(static_cast<size_t>(plan_.shards()));
   }
   node_seq_.assign(static_cast<size_t>(num_nodes_), 0);
-  // The allocator may use the runner for intra-decision fan-out (QA-NT's
-  // chunked bid scan) on the inline path too; it must be byte-exact either
-  // way, so this is unconditional.
-  allocator_->SetTaskRunner(config_.runner);
 
   link_down_.assign(static_cast<size_t>(num_nodes_), 0);
   best_cost_.resize(static_cast<size_t>(cost_model_->num_classes()), 0.0);

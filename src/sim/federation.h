@@ -114,9 +114,9 @@ struct FederationConfig {
   /// node state (MechanismProperties::reads_node_state); otherwise the
   /// run uses the inline single-queue path.
   int shards = 1;
-  /// Fork-join runner the sharded core drains its lanes on, also handed
-  /// to the allocator for its intra-decision fan-out (QA-NT's bid scan).
-  /// Not owned; must outlive the run. Null = fully sequential.
+  /// Fork-join runner the sharded core drains its lanes on — the only
+  /// parallelism inside a run; the allocator never sees it. Not owned;
+  /// must outlive the run. Null = fully sequential.
   const util::TaskRunner* runner = nullptr;
 };
 

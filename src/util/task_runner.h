@@ -5,10 +5,11 @@
 
 namespace qa::util {
 
-/// Fork-join execution abstraction for code that wants intra-run
-/// parallelism without depending on a concrete thread pool (the allocation
-/// and sim layers sit *below* qa_exec in the dependency graph, so they
-/// cannot see exec::ThreadPool directly).
+/// Fork-join execution abstraction for intra-run parallelism without a
+/// concrete thread pool (the sim layer sits *below* qa_exec in the
+/// dependency graph, so it cannot see exec::ThreadPool directly). Its one
+/// caller in a run is the sharded federation's lane drain at each market-
+/// tick fence (Federation::FenceAndMerge); allocators never fork.
 ///
 /// Contract: ParallelFor(n, fn) invokes fn(0) ... fn(n-1) exactly once
 /// each, possibly concurrently, and returns only after every invocation
@@ -20,30 +21,20 @@ namespace qa::util {
 ///
 /// Re-entrancy: ParallelFor must not be called from inside one of its own
 /// fn invocations (a nested call on a shared fixed-size pool can deadlock).
-/// The federation's bulk-synchronous shard loop and the allocator's bid
-/// scan both run fork-join phases strictly one at a time, so a single
-/// shared pool serves every phase of a run.
+/// The federation's bulk-synchronous shard loop issues its fork-joins
+/// strictly one at a time from the mediator thread, so one pool serves a
+/// whole run.
 class TaskRunner {
  public:
   virtual ~TaskRunner() = default;
 
   /// Upper bound on how many fn invocations can make progress at once
-  /// (>= 1). Callers use it to pick chunk counts; results must not depend
-  /// on the value.
+  /// (>= 1). Informational (reported in run metadata); results must not
+  /// depend on the value.
   virtual int concurrency() const = 0;
 
   virtual void ParallelFor(int n,
                            const std::function<void(int)>& fn) const = 0;
-};
-
-/// Runs everything inline on the calling thread. The semantics baseline:
-/// any TaskRunner must produce byte-identical results to this one.
-class SerialRunner final : public TaskRunner {
- public:
-  int concurrency() const override { return 1; }
-  void ParallelFor(int n, const std::function<void(int)>& fn) const override {
-    for (int i = 0; i < n; ++i) fn(i);
-  }
 };
 
 }  // namespace qa::util

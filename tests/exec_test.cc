@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -322,20 +323,42 @@ TEST_F(RunnerTest, SampledTraceIsByteIdenticalAcrossRepeatRuns) {
 
 // ------------------------------------------------------- Sharded core
 
+/// Counts the fork-joins it forwards, so a test can prove the federation's
+/// parallel lane drain actually ran (a fence forks only once enough lane
+/// events are queued).
+class CountingRunner final : public util::TaskRunner {
+ public:
+  explicit CountingRunner(const util::TaskRunner* inner) : inner_(inner) {}
+  int concurrency() const override { return inner_->concurrency(); }
+  void ParallelFor(int n, const std::function<void(int)>& fn) const override {
+    ++fork_joins_;
+    inner_->ParallelFor(n, fn);
+  }
+  int64_t fork_joins() const { return fork_joins_; }
+
+ private:
+  const util::TaskRunner* inner_;
+  mutable int64_t fork_joins_ = 0;
+};
+
 /// Runs one traced cell under the given shard/thread layout and returns
 /// (metrics, full trace bytes). shards == 1 is the inline reference; any
 /// other count routes through the sharded fork-join core with a pool of
-/// `threads` workers.
+/// `threads` workers, and `*fork_joins` (when given) receives how many
+/// fork-joins the run issued on it.
 std::pair<sim::SimMetrics, std::string> RunShardLayout(
     const query::CostModel& model, const workload::Trace& trace,
     const std::string& mechanism, uint64_t seed, int shards, int threads,
-    const std::string& tag) {
+    const std::string& tag,
+    allocation::SolicitationConfig solicitation = {},
+    int64_t* fork_joins = nullptr) {
   std::string path = ::testing::TempDir() + "/shard_layout_" + tag +
                      ".jsonl";
   sim::SimMetrics metrics;
   {
     ThreadPool pool(threads);
-    PoolRunner runner(&pool);
+    PoolRunner pool_runner(&pool);
+    CountingRunner runner(&pool_runner);
     util::StatusOr<std::unique_ptr<obs::Recorder>> recorder =
         obs::Recorder::OpenFile(path);
     EXPECT_TRUE(recorder.ok()) << recorder.status();
@@ -346,11 +369,13 @@ std::pair<sim::SimMetrics, std::string> RunShardLayout(
     spec.period = 500 * kMillisecond;
     spec.seed = seed;
     spec.config.max_retries = 5000;
+    spec.config.solicitation = solicitation;
     spec.config.recorder = recorder.value().get();
     spec.config.shards = shards;
     if (shards > 1) spec.config.runner = &runner;
     metrics = RunSpecOnce(spec).metrics;
     recorder.value()->Finish();
+    if (fork_joins != nullptr) *fork_joins = runner.fork_joins();
   }
   std::ifstream in(path, std::ios::binary);
   std::ostringstream bytes;
@@ -393,24 +418,50 @@ TEST_F(RunnerTest, StateReadingMechanismFallsBackToInlineAndStaysExact) {
   EXPECT_GT(reference_metrics.completed, 0);
 }
 
-TEST_F(RunnerTest, SingleShardedSpecBorrowsTheRunnersPool) {
-  // ExperimentRunner's nested-parallelism budget: a one-cell grid that
-  // asks for shards gets the runner's own pool as its intra-run runner,
-  // and the result still matches the serial inline reference.
-  RunSpec spec;
-  spec.cost_model = model_.get();
-  spec.mechanism = "QA-NT";
-  spec.trace = &trace_;
-  spec.period = 500 * kMillisecond;
-  spec.seed = kSeed;
-  spec.config.max_retries = 5000;
-  std::vector<RunResult> inline_result = ExperimentRunner(1).Run({spec});
-  spec.config.shards = 4;
-  std::vector<RunResult> sharded_result = ExperimentRunner(8).Run({spec});
-  ASSERT_EQ(inline_result.size(), 1u);
-  ASSERT_EQ(sharded_result.size(), 1u);
-  ExpectIdenticalMetrics(inline_result[0].metrics, sharded_result[0].metrics,
-                         0);
+TEST(ShardedDrainTest, LoadedFederationForksLaneDrainsAndStaysExact) {
+  // The small RunnerTest cell never queues enough lane events at a fence
+  // to fork, so this one is sized to: 160 nodes near capacity under
+  // sampled solicitation, where many deliveries and completions land in
+  // each market-tick window. The threaded run must actually drain lanes
+  // concurrently (a thread-sanitizer build of this test is what races the
+  // drain) and still match the inline run byte for byte.
+  constexpr uint64_t kSeed = 42;
+  util::Rng rng(kSeed);
+  sim::TwoClassConfig scenario;
+  scenario.num_nodes = 160;
+  std::unique_ptr<query::MatrixCostModel> model =
+      sim::BuildTwoClassCostModel(scenario, rng);
+  const util::VDuration period = 500 * kMillisecond;
+  const double capacity =
+      sim::EstimateCapacityQps(*model, {2.0, 1.0}, period);
+  workload::SinusoidConfig workload;
+  workload.q1_peak_rate = 0.95 * capacity;
+  workload.duration = 2 * kSecond;
+  workload.frequency_hz = 0.5;
+  workload.num_origin_nodes = scenario.num_nodes;
+  util::Rng wl_rng(kSeed + 1);
+  const workload::Trace trace =
+      workload::GenerateSinusoidWorkload(workload, wl_rng);
+  allocation::SolicitationConfig sampled;
+  sampled.policy = allocation::SolicitationPolicy::kStratifiedSample;
+  sampled.fanout = 16;
+
+  auto [reference_metrics, reference_trace] = RunShardLayout(
+      *model, trace, "QA-NT", kSeed, 1, 1, "drain_ref", sampled);
+  EXPECT_GT(reference_metrics.completed, 0);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("shards 4 threads " + std::to_string(threads));
+    int64_t fork_joins = 0;
+    auto [metrics, trace_bytes] = RunShardLayout(
+        *model, trace, "QA-NT", kSeed, 4, threads,
+        "drain_t" + std::to_string(threads), sampled, &fork_joins);
+    ExpectIdenticalMetrics(reference_metrics, metrics,
+                           static_cast<size_t>(threads));
+    EXPECT_EQ(reference_trace, trace_bytes);
+    if (threads > 1) {
+      EXPECT_GT(fork_joins, 0);
+    }
+  }
 }
 
 }  // namespace

@@ -785,22 +785,6 @@ TEST(QaShd002Test, ReachabilityThroughHelpersAndFenceCutoff) {
                   .empty());
 }
 
-TEST(QaShd002Test, ChunkedAllocatorCallbackIsFlagged) {
-  Options options;
-  options.only_rules = {"QA-SHD-002"};
-  std::vector<Finding> findings = Analyze(
-      {{"src/allocation/fixture.cc",
-        "void QaNtAllocator::Scan() {\n"
-        "  runner_->ParallelFor(4, [&](int chunk) {\n"
-        "    total_messages_ += 1;\n"
-        "  });\n"
-        "}\n"}},
-      options);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].line, 3);
-  EXPECT_NE(findings[0].message.find("total_messages_"), std::string::npos);
-}
-
 TEST(QaShd002Test, ShardLocalStateAndAllowDirectiveAreClean) {
   Options options;
   options.only_rules = {"QA-SHD-002"};

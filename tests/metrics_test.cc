@@ -446,6 +446,27 @@ TEST(CollectorTest, RunFieldAndBucketRecordsRoundTrip) {
   EXPECT_TRUE(m.stats[static_cast<size_t>(kMessages)].buckets.empty());
 }
 
+// A bench whose collector meters no run (per-cell collectors, or no
+// federation at all) writes only its mrun/mfield records: no zero-valued
+// mstat block that a reader would take for a measured phase profile.
+TEST(CollectorTest, UnmeteredStreamHasNoStatBlock) {
+  std::ostringstream sink;
+  {
+    Collector collector(&sink);
+    collector.AddField("seed", int64_t{42});
+    collector.AddRun("QA-NT", Json::MakeObject());
+    collector.Finish();
+  }
+  util::StatusOr<ParsedMetrics> parsed = ParsedMetrics::Parse(sink.str());
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  const ParsedMetrics& m = parsed.value();
+  EXPECT_EQ(m.fields.size(), 1u);
+  EXPECT_EQ(m.runs.size(), 1u);
+  EXPECT_TRUE(m.stats.empty());
+  EXPECT_TRUE(m.lane_drain_ns.empty());
+  EXPECT_EQ(sink.str().find("\"type\":\"mshards\""), std::string::npos);
+}
+
 TEST(MetricsReaderTest, LaneImbalanceIsMaxOverMean) {
   // max/mean of {1000, 3000} = 3000/2000 = 1.5.
   EXPECT_DOUBLE_EQ(LaneImbalance({1000, 3000}), 1.5);

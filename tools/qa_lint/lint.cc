@@ -72,8 +72,8 @@ const Rule kRules[] = {
      "under threads and hidden cross-run state under any layout. Thread "
      "state through Federation/Allocator members instead"},
     {"QA-SHD-002", "mediator-lane state touched from shard-lane code",
-     "code reachable from a shard-lane entry point (a RunWhileBefore drain "
-     "callback, a chunked ParallelFor callback, DispatchShard) runs on "
+     "code reachable from a shard-lane entry point (a RunWhileBefore or "
+     "ParallelFor drain callback, DispatchShard) runs on "
      "worker threads between merge fences (DESIGN.md §8); touching "
      "mediator-lane members, shared accumulators or cross-shard NodePool "
      "state there is a data race under threads and a determinism leak "

@@ -1021,40 +1021,32 @@ class ShardPass {
   void Run() {
     CollectEntries();
     Propagate();
-    for (const auto& [node, mask] : kind_) Check(node, mask);
+    for (const auto& [node, entry] : entry_of_) Check(node, entry);
   }
 
  private:
-  static constexpr int kLane = 1;
-  static constexpr int kChunk = 2;
   using Node = std::pair<size_t, size_t>;  // (file, func)
 
-  void AddEntry(size_t f, size_t i, int mask, const std::string& label) {
-    int& have = kind_[{f, i}];
-    if ((have | mask) == have) return;
-    have |= mask;
-    if (entry_of_.count({f, i}) == 0) entry_of_[{f, i}] = label;
+  void AddEntry(size_t f, size_t i, const std::string& label) {
+    if (!entry_of_.emplace(Node{f, i}, label).second) return;
     queue_.push_back({f, i});
   }
 
   void CollectEntries() {
     for (size_t f = 0; f < files_.size(); ++f) {
       const FileModel& fm = files_[f];
-      const bool in_sim = internal::PathInDir(fm.key, "src/sim");
-      const bool in_alloc = internal::PathInDir(fm.key, "src/allocation");
-      if (!in_sim && !in_alloc) continue;
+      if (!internal::PathInDir(fm.key, "src/sim")) continue;
       for (size_t i = 0; i < fm.funcs.size(); ++i) {
         const FuncInfo& fn = fm.funcs[i];
         if (!fn.is_lambda) {
           if (fn.cls == "Federation" && fn.name == "DispatchShard") {
-            AddEntry(f, i, kLane, fn.qual);
+            AddEntry(f, i, fn.qual);
           }
           continue;
         }
-        if (fn.lambda_passed_to == "RunWhileBefore" && in_sim) {
-          AddEntry(f, i, kLane, fn.qual);
-        } else if (fn.lambda_passed_to == "ParallelFor") {
-          AddEntry(f, i, in_sim ? kLane : kChunk, fn.qual);
+        if (fn.lambda_passed_to == "RunWhileBefore" ||
+            fn.lambda_passed_to == "ParallelFor") {
+          AddEntry(f, i, fn.qual);
         }
       }
       // Named lambdas handed to the runner by variable:
@@ -1073,10 +1065,7 @@ class ShardPass {
                   lam.lambda_var != fm.lexed.tokens[a].text) {
                 continue;
               }
-              const int mask = (callee == "RunWhileBefore" || in_sim)
-                                   ? kLane
-                                   : kChunk;
-              AddEntry(f, i, mask, lam.qual);
+              AddEntry(f, i, lam.qual);
             }
           }
         }
@@ -1088,14 +1077,13 @@ class ShardPass {
     while (!queue_.empty()) {
       Node n = queue_.front();
       queue_.pop_front();
-      const int mask = kind_[n];
       const std::string& label = entry_of_[n];
       const FileModel& fm = files_[n.first];
       const FuncInfo& fn = fm.funcs[n.second];
       // Lambdas created on the lane path run on the lane path.
       for (size_t i = 0; i < fm.funcs.size(); ++i) {
         if (fm.funcs[i].is_lambda && fm.funcs[i].owner == n.second) {
-          AddEntry(n.first, i, mask, label);
+          AddEntry(n.first, i, label);
         }
       }
       for (const CallSite& c : fn.calls) {
@@ -1111,13 +1099,13 @@ class ShardPass {
               g.cls != c.chain[c.chain.size() - 2]) {
             continue;  // explicit Class::fn qualifier mismatch
           }
-          AddEntry(cand.first, cand.second, mask, label);
+          AddEntry(cand.first, cand.second, label);
         }
       }
     }
   }
 
-  void Check(const Node& n, int mask) {
+  void Check(const Node& n, const std::string& entry) {
     static const std::set<std::string> kFedLaneBanned = {
         "events_",         "med_items_",       "mediator_seq_",
         "current_time_",   "current_stamp_",   "metrics_",
@@ -1128,37 +1116,26 @@ class ShardPass {
         "next_query_id_",  "ticks_",           "watchdogs_",
         "market_probe_",   "alloc_probe_seq_", "tick_probe_seq_",
         "cost_cache_",     "allocator_"};
-    static const std::set<std::string> kQaNtChunkBanned = {
-        "total_messages_", "arrival_seq_", "metrics_"};
     const FileModel& fm = files_[n.first];
     const FuncInfo& fn = fm.funcs[n.second];
     const auto& t = fm.lexed.tokens;
-    const std::string& entry = entry_of_[n];
     const char* kRule = "QA-SHD-002";
 
-    const std::set<std::string>* banned = nullptr;
-    const char* lane_kind = "shard-lane";
-    if ((mask & kLane) != 0 && fn.cls == "Federation") {
-      banned = &kFedLaneBanned;
-    } else if ((mask & kChunk) != 0 && fn.cls == "QaNtAllocator") {
-      banned = &kQaNtChunkBanned;
-      lane_kind = "chunked-callback";
-    }
-    if (banned != nullptr) {
+    if (fn.cls == "Federation") {
       const std::vector<std::pair<size_t, size_t>> holes =
           LambdaHoles(fm, n.second);
       for (size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
         if (InHoles(holes, i)) continue;
-        if (t[i].kind != TokKind::kIdent || banned->count(t[i].text) == 0) {
+        if (t[i].kind != TokKind::kIdent ||
+            kFedLaneBanned.count(t[i].text) == 0) {
           continue;
         }
         rep_.Report(fm, t[i].line, t[i].column, kRule,
                     Cat({"mediator-lane member '", t[i].text, "' touched in '",
-                         fn.qual, "' on the ", lane_kind,
-                         " path (reached from entry '", entry,
-                         "') — lane code may only touch shard-local state; "
-                         "route effects through the merge fences "
-                         "(DESIGN.md §8)"}));
+                         fn.qual, "' on the shard-lane path (reached from "
+                         "entry '", entry, "') — lane code may only touch "
+                         "shard-local state; route effects through the merge "
+                         "fences (DESIGN.md §8)"}));
       }
     }
     for (const CallSite& c : fn.calls) {
@@ -1167,8 +1144,8 @@ class ShardPass {
         if (Lower(r).find("recorder") != std::string::npos) {
           rep_.Report(fm, at.line, at.column, kRule,
                       Cat({"trace recorder call '", JoinChain(c.chain, "::"),
-                           "' in '", fn.qual, "' on the ", lane_kind,
-                           " path (reached from entry '", entry,
+                           "' in '", fn.qual, "' on the shard-lane path "
+                           "(reached from entry '", entry,
                            "') — lane outcomes must buffer through "
                            "Federation::Emit (DESIGN.md §8)"}));
           break;
@@ -1179,7 +1156,7 @@ class ShardPass {
         rep_.Report(fm, at.line, at.column, kRule,
                     Cat({"cross-shard NodePool operation '",
                          JoinChain(c.chain, "::"), "' in '", fn.qual,
-                         "' on the ", lane_kind, " path (reached from entry '",
+                         "' on the shard-lane path (reached from entry '",
                          entry, "') — pool re-initialisation belongs to the "
                          "mediator lane (DESIGN.md §8)"}));
       }
@@ -1189,7 +1166,7 @@ class ShardPass {
   const std::vector<FileModel>& files_;
   Reporter& rep_;
   std::map<std::string, std::vector<Node>> by_name_;
-  std::map<Node, int> kind_;
+  /// Every lane-path function, with the entry point it was reached from.
   std::map<Node, std::string> entry_of_;
   std::deque<Node> queue_;
 };

@@ -154,17 +154,20 @@ int Run(const Options& opts) {
     }
   }
 
-  // ---- Final deterministic counters and market-health gauges.
-  util::TableWriter stat_table({"Metric", "Kind", "Value"});
-  for (const obs::metrics::MetricStat& stat : metrics.stats) {
-    if (stat.kind == "histogram") continue;
-    stat_table.BeginRow();
-    stat_table.AddCell(stat.name);
-    stat_table.AddCell(stat.kind);
-    stat_table.AddCell(stat.kind == "counter" ? std::to_string(stat.value)
-                                              : Fmt(stat.gauge));
+  // ---- Final deterministic counters and market-health gauges (a stream
+  // whose collector metered no run has no mstat block to show).
+  if (!metrics.stats.empty()) {
+    util::TableWriter stat_table({"Metric", "Kind", "Value"});
+    for (const obs::metrics::MetricStat& stat : metrics.stats) {
+      if (stat.kind == "histogram") continue;
+      stat_table.BeginRow();
+      stat_table.AddCell(stat.name);
+      stat_table.AddCell(stat.kind);
+      stat_table.AddCell(stat.kind == "counter" ? std::to_string(stat.value)
+                                                : Fmt(stat.gauge));
+    }
+    Emit(stat_table, opts.csv);
   }
-  Emit(stat_table, opts.csv);
 
   // ---- Watchdog alarms.
   if (!metrics.alarms.empty()) {
