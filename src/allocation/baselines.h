@@ -71,6 +71,11 @@ class GreedyAllocator : public Allocator {
 /// capacity unless heavily randomized (see bench_ablation_information).
 class BlindGreedyAllocator : public Allocator {
  public:
+  /// `randomization`: execution-time estimates are perturbed by +/- this
+  /// fraction so load spreads over near-fastest nodes instead of piling on
+  /// one node. The default minimizes GreedyBlind's own response time in
+  /// the Fig. 4 conditions (swept in bench_ablation_information), so the
+  /// baseline gets its best setting.
   BlindGreedyAllocator(uint64_t seed, double randomization = 1.0)
       : rng_(seed), randomization_(randomization) {}
 

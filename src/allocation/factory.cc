@@ -17,8 +17,7 @@ std::unique_ptr<Allocator> CreateAllocator(const std::string& name,
     return std::make_unique<GreedyAllocator>(params.seed);
   }
   if (name == "GreedyBlind") {
-    return std::make_unique<BlindGreedyAllocator>(
-        params.seed, params.greedy_randomization);
+    return std::make_unique<BlindGreedyAllocator>(params.seed);
   }
   if (name == "Random") {
     return std::make_unique<RandomAllocator>(params.seed);

@@ -200,7 +200,7 @@ catalog::NodeId QaNtAllocator::ScanAndSettle(const AllocationContext& context,
                                              int k, int* asked_out) {
   offers_.clear();
   int asked = 0;
-  [[maybe_unused]] int64_t scan_start = 0;
+  int64_t scan_start = 0;
   QA_METRICS(metrics_) {
     // Chain from the federation's allocate-start reading (the
     // solicitation sampling above then counts as part of the scan — it
@@ -313,7 +313,7 @@ void QaNtAllocator::OnPeriodStart(util::VTime now) {
   // this tick fell outside the deterministic probe sample (see
   // kTickProbeStride) and the rollover goes untimed. OnPeriodEnd is a
   // no-op, so the chained start matches the rollover's real start.
-  [[maybe_unused]] int64_t roll_start = 0;
+  int64_t roll_start = 0;
   QA_METRICS(metrics_) { roll_start = metrics_->TakePhaseMark(); }
   // Record the tick *before* rolling: EnsureAgent replays rollovers for
   // lazily built agents up to exactly this time.

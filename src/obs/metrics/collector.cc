@@ -25,7 +25,6 @@ void Collector::Write(const Json& json) {
 }
 
 void Collector::BeginRun(const RunMeta& meta) {
-#ifndef QA_METRICS_DISABLED
   finished_ = false;
   began_ = true;
   if (sink_ == nullptr) return;
@@ -38,34 +37,20 @@ void Collector::BeginRun(const RunMeta& meta) {
   line.Set("seed", meta.seed);
   line.Set("period_us", meta.period_us);
   Write(line);
-#else
-  (void)meta;
-#endif
 }
 
 void Collector::SetNumLanes(size_t lanes) {
-#ifndef QA_METRICS_DISABLED
   lane_nanos_.assign(lanes, 0);
   lane_events_.assign(lanes, 0);
-#else
-  (void)lanes;
-#endif
 }
 
 void Collector::RecordLaneDrain(size_t lane, int64_t nanos, uint64_t events) {
-#ifndef QA_METRICS_DISABLED
   if (lane >= lane_nanos_.size()) return;
   lane_nanos_[lane] += nanos;
   lane_events_[lane] += events;
-#else
-  (void)lane;
-  (void)nanos;
-  (void)events;
-#endif
 }
 
 void Collector::Sample(const SampleRow& row) {
-#ifndef QA_METRICS_DISABLED
   registry_.SetCounter(kEventsDispatched, row.events_dispatched);
   registry_.SetCounter(kQueriesAssigned, row.assigned);
   registry_.SetCounter(kQueriesCompleted, row.completed);
@@ -116,13 +101,9 @@ void Collector::Sample(const SampleRow& row) {
   line.Set("max_reject_age_ms", row.max_reject_age_ms);
   line.Set("earnings_cv", row.earnings_cv);
   Write(line);
-#else
-  (void)row;
-#endif
 }
 
 void Collector::Alarm(const AlarmRecord& alarm) {
-#ifndef QA_METRICS_DISABLED
   registry_.Add(kAlarms, 1);
   if (sink_ == nullptr) return;
   Json line = Json::MakeObject();
@@ -135,13 +116,9 @@ void Collector::Alarm(const AlarmRecord& alarm) {
   line.Set("threshold", alarm.threshold);
   line.Set("detail", alarm.detail);
   Write(line);
-#else
-  (void)alarm;
-#endif
 }
 
 void Collector::Finish() {
-#ifndef QA_METRICS_DISABLED
   if (finished_) return;
   finished_ = true;
   if (sink_ == nullptr) return;
@@ -199,7 +176,6 @@ void Collector::Finish() {
   shards.Set("lane_events", std::move(events));
   Write(shards);
   sink_->flush();
-#endif
 }
 
 void Collector::AddRun(const std::string& label, Json metrics) {

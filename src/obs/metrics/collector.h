@@ -142,13 +142,7 @@ class Collector {
   /// probe passes the sampling stride as `weight` so histogram counts and
   /// sums stay unbiased estimates of the full event population.
   void RecordPhase(Phase phase, int64_t nanos, uint64_t weight = 1) {
-#ifndef QA_METRICS_DISABLED
     registry_.Observe(PhaseMetric(phase), nanos, weight);
-#else
-    (void)phase;
-    (void)nanos;
-    (void)weight;
-#endif
   }
 
   /// Worker-side: accumulates drain wall time and dispatched events for
@@ -163,21 +157,11 @@ class Collector {
   /// probe cost at allocation granularity). TakePhaseMark clears the
   /// slot, so a stage invoked outside a marking caller falls back to its
   /// own read. Mediator-thread-only, like every non-lane method.
-  void MarkPhaseStart(int64_t nanos) {
-#ifndef QA_METRICS_DISABLED
-    phase_mark_ = nanos;
-#else
-    (void)nanos;
-#endif
-  }
+  void MarkPhaseStart(int64_t nanos) { phase_mark_ = nanos; }
   int64_t TakePhaseMark() {
-#ifndef QA_METRICS_DISABLED
     int64_t mark = phase_mark_;
     phase_mark_ = 0;
     return mark;
-#else
-    return 0;
-#endif
   }
 
   /// Emits one deterministic msample line and syncs the registry's
@@ -193,13 +177,11 @@ class Collector {
   void Finish();
 
   /// Emits one mrun line: a bench's labeled run result (the
-  /// sim::MetricsToJson object). Run results are not probes, so unlike
-  /// every other record these are written under -DQA_METRICS_DISABLED too.
+  /// sim::MetricsToJson object).
   void AddRun(const std::string& label, Json metrics);
 
   /// Emits one mfield line: a bench-level key/value (seed, capacity
-  /// estimate, a sweep's per-cell row...). Written in both build modes,
-  /// like AddRun.
+  /// estimate, a sweep's per-cell row...).
   void AddField(const std::string& key, Json value);
 
   size_t num_lanes() const { return lane_nanos_.size(); }
@@ -229,10 +211,9 @@ class Collector {
   std::string line_buffer_;
 };
 
-/// A RAII phase timer; compiles to nothing under -DQA_METRICS_DISABLED.
+/// A RAII phase timer; a null collector times nothing.
 class ScopedPhaseTimer {
  public:
-#ifndef QA_METRICS_DISABLED
   ScopedPhaseTimer(Collector* collector, Phase phase)
       : collector_(collector), phase_(phase) {
     if (collector_ != nullptr) start_ = util::MonotonicClock::NowNanos();
@@ -243,26 +224,19 @@ class ScopedPhaseTimer {
                               util::MonotonicClock::NowNanos() - start_);
     }
   }
+  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
+  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
 
  private:
   Collector* collector_;
   Phase phase_;
   int64_t start_ = 0;
-#else
-  ScopedPhaseTimer(Collector*, Phase) {}
-#endif
-  ScopedPhaseTimer(const ScopedPhaseTimer&) = delete;
-  ScopedPhaseTimer& operator=(const ScopedPhaseTimer&) = delete;
 };
 
 }  // namespace qa::obs::metrics
 
 /// Probe gate for metrics call sites, mirroring QA_OBS: one null test when
-/// metrics are off, no code at all under -DQA_METRICS_DISABLED.
-#ifdef QA_METRICS_DISABLED
-#define QA_METRICS(collector_ptr) if constexpr (false)
-#else
+/// metrics are off.
 #define QA_METRICS(collector_ptr) if ((collector_ptr) != nullptr)
-#endif
 
 #endif  // QAMARKET_OBS_METRICS_COLLECTOR_H_

@@ -55,7 +55,6 @@ struct Histogram {
     count += weight;
     sum += v * static_cast<int64_t>(weight);
   }
-  void MergeFrom(const Histogram& other);
   double Mean() const {
     return count > 0 ? static_cast<double>(sum) / static_cast<double>(count)
                      : 0.0;
@@ -93,11 +92,6 @@ class Registry {
   const Histogram& histogram(int id) const {
     return histograms_[static_cast<size_t>(id)];
   }
-
-  /// Folds another registry in (per-shard instances aggregated at fences):
-  /// counters and histogram contents add, gauges take the other's value
-  /// when it was ever set.
-  void MergeFrom(const Registry& other);
 
  private:
   std::vector<int64_t> counters_;

@@ -24,8 +24,7 @@ namespace qa::obs {
 /// disabled path a single pointer test.
 ///
 /// Probe sites use the QA_OBS macro below so that the disabled path is one
-/// predictable branch — or no code at all when QA_OBS_DISABLED is defined
-/// at build time (the probes compile away entirely).
+/// predictable branch.
 class Recorder {
  public:
   /// A disabled recorder: every probe is dropped.
@@ -86,11 +85,7 @@ class Recorder {
 }  // namespace qa::obs
 
 /// Probe gate: `QA_OBS(recorder) recorder->...;` costs one null test when
-/// telemetry is off, and compiles to nothing under -DQA_OBS_DISABLED.
-#ifdef QA_OBS_DISABLED
-#define QA_OBS(recorder_ptr) if constexpr (false)
-#else
+/// telemetry is off.
 #define QA_OBS(recorder_ptr) if ((recorder_ptr) != nullptr)
-#endif
 
 #endif  // QAMARKET_OBS_RECORDER_H_

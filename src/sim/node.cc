@@ -4,66 +4,6 @@
 
 namespace qa::sim {
 
-bool SimNode::Enqueue(const QueryTask& task, util::VTime now) {
-  (void)now;
-  queue_.push_back(task);
-  queued_work_ += task.work_units;
-  cumulative_work_ += task.work_units;
-  // Start immediately only when the executor is idle and this is the only
-  // queued task (a caller that has not yet called BeginNext for an earlier
-  // enqueue must not be told to start twice).
-  return !running_ && queue_.size() == 1;
-}
-
-QueryTask SimNode::BeginNext(util::VTime now) {
-  assert(!running_);
-  assert(!queue_.empty());
-  current_ = queue_.front();
-  queue_.pop_front();
-  running_ = true;
-  busy_until_ = now + current_.exec_time;
-  busy_time_ += current_.exec_time;
-  return current_;
-}
-
-bool SimNode::CompleteCurrent(util::VTime now) {
-  assert(running_);
-  running_ = false;
-  queued_work_ -= current_.work_units;
-  if (queued_work_ < 0.0) queued_work_ = 0.0;
-  ++completed_;
-  if (queue_.empty()) last_idle_at_ = now;
-  return !queue_.empty();
-}
-
-std::vector<QueryTask> SimNode::Crash(util::VTime now) {
-  std::vector<QueryTask> lost;
-  lost.reserve(queue_.size() + (running_ ? 1 : 0));
-  if (running_) {
-    // BeginNext charged the full exec_time to busy_time_ up front; give
-    // back the part that will now never run.
-    if (busy_until_ > now) busy_time_ -= busy_until_ - now;
-    lost.push_back(current_);
-    running_ = false;
-  }
-  for (const QueryTask& task : queue_) lost.push_back(task);
-  queue_.clear();
-  queued_work_ = 0.0;
-  last_idle_at_ = now;
-  ++epoch_;
-  return lost;
-}
-
-util::VDuration SimNode::Backlog(util::VTime now) const {
-  util::VDuration backlog = 0;
-  if (running_ && busy_until_ > now) backlog += busy_until_ - now;
-  for (const QueryTask& task : queue_) backlog += task.exec_time;
-  return backlog;
-}
-
-// ----------------------------------------------------------------
-// NodePool
-
 void NodePool::Init(int num_nodes, int shards,
                     const std::vector<int>& shard_of) {
   assert(num_nodes >= 0);
@@ -121,7 +61,8 @@ bool NodePool::Enqueue(catalog::NodeId node, const QueryTask& task) {
   queued_work_[i] += task.work_units;
   cumulative_work_[i] += task.work_units;
   // Start immediately only when the executor is idle and this is the only
-  // queued task (mirrors SimNode::Enqueue).
+  // queued task (a caller that has not yet called BeginNext for an earlier
+  // enqueue must not be told to start twice).
   return running_[i] == 0 && queue_len_[i] == 1;
 }
 

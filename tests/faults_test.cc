@@ -18,6 +18,7 @@
 #include "sim/faults/fault_injector.h"
 #include "sim/faults/fault_plan.h"
 #include "sim/federation.h"
+#include "sim/node.h"
 #include "sim/scenario.h"
 #include "util/rng.h"
 #include "workload/trace.h"
@@ -295,33 +296,37 @@ TEST(ValidateConfigDeathTest, RunAbortsOnInvalidConfig) {
   EXPECT_DEATH(fed.Run(trace), "invalid FederationConfig");
 }
 
-// --------------------------------------------------------------- SimNode
+// -------------------------------------------------------------- NodePool
 
-TEST(SimNodeCrashTest, CrashFlushesStateAndCorrectsBusyTime) {
-  SimNode node(0);
+TEST(NodePoolCrashTest, CrashFlushesStateAndCorrectsBusyTime) {
+  NodePool pool;
+  pool.Init(1, 1, {0});
   QueryTask t1;
   t1.query_id = 1;
   t1.exec_time = 100 * kMillisecond;
   t1.work_units = 5.0;
   QueryTask t2 = t1;
   t2.query_id = 2;
-  node.Enqueue(t1, 0);
-  node.Enqueue(t2, 0);
-  node.BeginNext(0);  // t1 running, would finish at 100 ms
-  ASSERT_EQ(node.epoch(), 0);
+  pool.Enqueue(0, t1);
+  pool.Enqueue(0, t2);
+  pool.BeginNext(0, 0);  // t1 running, would finish at 100 ms
+  ASSERT_EQ(pool.epoch(0), 0);
 
-  std::vector<QueryTask> lost = node.Crash(30 * kMillisecond);
+  std::vector<QueryTask> lost;
+  pool.Crash(0, 30 * kMillisecond, &lost);
   ASSERT_EQ(lost.size(), 2u);
   EXPECT_EQ(lost[0].query_id, 1);  // the running task first
   EXPECT_EQ(lost[1].query_id, 2);
   // BeginNext charged 100 ms up front; only 30 ms actually ran.
-  EXPECT_EQ(node.busy_time(), 30 * kMillisecond);
-  EXPECT_TRUE(node.idle());
-  EXPECT_EQ(node.queue_length(), 0u);
-  EXPECT_DOUBLE_EQ(node.QueuedWork(), 0.0);
-  EXPECT_EQ(node.last_idle_at(), 30 * kMillisecond);
-  EXPECT_EQ(node.epoch(), 1);
-  EXPECT_EQ(node.completed(), 0);
+  EXPECT_EQ(pool.busy_time(0), 30 * kMillisecond);
+  EXPECT_EQ(pool.QueueLength(0), 0);
+  EXPECT_EQ(pool.Backlog(0, 30 * kMillisecond), 0);
+  EXPECT_DOUBLE_EQ(pool.QueuedWork(0), 0.0);
+  EXPECT_EQ(pool.last_idle_at(0), 30 * kMillisecond);
+  EXPECT_EQ(pool.epoch(0), 1);
+  EXPECT_EQ(pool.completed(0), 0);
+  // The node came back idle: the next task starts at once.
+  EXPECT_TRUE(pool.Enqueue(0, t1));
 }
 
 // ----------------------------------------------------- Crash and restart

@@ -1,14 +1,11 @@
 // Locks the obs/metrics subsystem: catalog/enum agreement, log-bucketed
-// histogram boundary arithmetic, registry merge semantics, hand-computed
+// histogram boundary arithmetic, registry instruments, hand-computed
 // watchdog scenarios (oscillation trip, starvation trip, non-convergence
 // trip, steady-state silence, rising-edge latching), the collector's JSONL
 // stream (samples, alarms, run results, fields, histogram buckets)
-// round-tripped through the same reader the tools use, and an
-// end-to-end federation run proving the metrics side channel never
-// perturbs simulation results. The whole file builds in both metrics
-// modes; collector-stream expectations flip under -DQA_METRICS_DISABLED
-// (the null-probe contract: no probe writes anything; only a bench's
-// mrun/mfield results still reach the sink).
+// round-tripped through the same reader the tools use, the null-probe
+// gate, and an end-to-end federation run proving the metrics side channel
+// never perturbs simulation results.
 
 #include <gtest/gtest.h>
 
@@ -126,42 +123,19 @@ TEST(HistogramTest, RecordTracksCountSumMinMaxMean) {
   EXPECT_EQ(h.buckets[3], 2u);  // 5 and 6
 }
 
-TEST(HistogramTest, MergeFoldsBucketsAndExtremes) {
-  Histogram a, b;
-  a.Record(3);
-  b.Record(100);
-  b.Record(1);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_EQ(a.sum, 104);
-  EXPECT_EQ(a.min, 1);
-  EXPECT_EQ(a.max, 100);
-  Histogram empty;
-  a.MergeFrom(empty);  // merging nothing changes nothing
-  EXPECT_EQ(a.count, 3u);
-  EXPECT_EQ(a.min, 1);
-}
-
 // ---------------------------------------------------------------------------
 // Registry
 // ---------------------------------------------------------------------------
 
-TEST(RegistryTest, InstrumentsAndMerge) {
-  Registry a, b;
+TEST(RegistryTest, Instruments) {
+  Registry a;
   a.Add(kMessages, 5);
-  b.Add(kMessages, 7);
-  b.SetGauge(kEarningsCv, 0.25);
-  b.Observe(kPhaseAllocate, 1000);
-  a.MergeFrom(b);
+  a.Add(kMessages, 7);
+  a.SetGauge(kEarningsCv, 0.25);
+  a.Observe(kPhaseAllocate, 1000);
   EXPECT_EQ(a.counter(kMessages), 12);
   EXPECT_DOUBLE_EQ(a.gauge(kEarningsCv), 0.25);
   EXPECT_EQ(a.histogram(kPhaseAllocate).count, 1u);
-  // A never-set gauge in the source does not wipe the destination.
-  Registry c;
-  c.SetGauge(kEarningsCv, 0.5);
-  Registry untouched;
-  c.MergeFrom(untouched);
-  EXPECT_DOUBLE_EQ(c.gauge(kEarningsCv), 0.5);
 }
 
 // ---------------------------------------------------------------------------
@@ -184,7 +158,7 @@ MarketProbe Snap(const std::vector<double>& prices,
 }
 
 TEST(WatchdogTest, StarvationTripsLatchesAndRearms) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // SLA = 4 periods = 2000ms. A 2500ms sojourn is starvation.
   suite.ObserveRejectSojourn(0, 2500 * kMillisecond);
   std::vector<AlarmRecord> alarms =
@@ -215,8 +189,7 @@ TEST(WatchdogTest, StarvationTripsLatchesAndRearms) {
 }
 
 TEST(WatchdogTest, OscillationTripsAfterAFullWindow) {
-  WatchdogConfig config;  // window 6, flip threshold 0.6, amplitude 0.02
-  WatchdogSuite suite(config, kPeriod);
+  WatchdogSuite suite(kPeriod);  // window 6, flip threshold 0.6, amp 0.02
   // One agent whose price alternates 1.0 <-> 1.5: every consecutive
   // mean-ln(price) delta is +/-ln(1.5) ~= 0.405, so all 5 of 5 delta pairs
   // flip sign (rate 1.0 >= 0.6) with amplitude 0.405 >= 0.02. The detector
@@ -243,7 +216,7 @@ TEST(WatchdogTest, OscillationTripsAfterAFullWindow) {
 }
 
 TEST(WatchdogTest, NonConvergenceTripsWhenVarianceHoldsAboveFloor) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // Two agents stuck at prices 1.0 and 2.0: cross-node ln-price variance
   // is (ln2/2)^2 ~= 0.12 every period — above the 1e-3 floor and never
   // decreasing. After window = 6 periods the detector fires. The means
@@ -270,7 +243,7 @@ TEST(WatchdogTest, NonConvergenceTripsWhenVarianceHoldsAboveFloor) {
 }
 
 TEST(WatchdogTest, SteadyStateNeverTrips) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // A settled market: every node quotes 1.3, rejects age well under the
   // SLA. Ten periods, zero alarms — and the fairness gauge reads the
   // hand-computed CV of earnings {1, 3}: mean 2, stddev 1, CV 0.5.
@@ -288,7 +261,7 @@ TEST(WatchdogTest, SteadyStateNeverTrips) {
 }
 
 TEST(WatchdogTest, SnapshotsWithoutAgentsSkipPriceDetectors) {
-  WatchdogSuite suite(WatchdogConfig{}, kPeriod);
+  WatchdogSuite suite(kPeriod);
   // Non-market mechanisms expose no agent state: only starvation can fire.
   MarketProbe bare;
   for (int p = 0; p < 10; ++p) {
@@ -301,8 +274,6 @@ TEST(WatchdogTest, SnapshotsWithoutAgentsSkipPriceDetectors) {
 // ---------------------------------------------------------------------------
 // Collector stream <-> reader round trip
 // ---------------------------------------------------------------------------
-
-#ifndef QA_METRICS_DISABLED
 
 TEST(CollectorTest, StreamRoundTripsThroughTheReader) {
   std::ostringstream sink;
@@ -480,51 +451,16 @@ TEST(MetricsReaderTest, UnknownRecordTypeIsAnError) {
   EXPECT_FALSE(parsed.ok());
 }
 
-#endif  // QA_METRICS_DISABLED
-
 // ---------------------------------------------------------------------------
-// Null-probe contract (both build modes)
+// Null-probe gate
 // ---------------------------------------------------------------------------
 
-TEST(MetricsGateTest, NullProbeNeverRunsAndDisabledBuildWritesNothing) {
-  // The QA_METRICS gate: a null collector skips the probe body entirely
-  // (and under -DQA_METRICS_DISABLED the body is not even compiled — the
-  // macro then never reads its argument, hence [[maybe_unused]]).
-  [[maybe_unused]] Collector* null_collector = nullptr;
+TEST(MetricsGateTest, NullProbeNeverRuns) {
+  // The QA_METRICS gate: a null collector skips the probe body entirely.
+  Collector* null_collector = nullptr;
   bool ran = false;
   QA_METRICS(null_collector) { ran = true; }
   EXPECT_FALSE(ran);
-
-  std::ostringstream sink;
-  {
-    Collector collector(&sink);
-    RunMeta meta;
-    meta.mechanism = "QA-NT";
-    collector.BeginRun(meta);
-    SampleRow row;
-    row.events_dispatched = 1;
-    collector.Sample(row);
-    collector.Finish();
-  }
-#ifdef QA_METRICS_DISABLED
-  // Every probe compiles away: not a byte reaches the sink.
-  EXPECT_TRUE(sink.str().empty());
-#else
-  EXPECT_FALSE(sink.str().empty());
-#endif
-}
-
-TEST(MetricsGateTest, RunResultsAreWrittenInBothBuildModes) {
-  // mrun/mfield records are a bench's results, not probes: the disabled
-  // build compiles the probes away but still writes them.
-  std::ostringstream sink;
-  Collector collector(&sink);
-  collector.AddField("seed", int64_t{7});
-  collector.AddRun("QA-NT", Json::MakeObject());
-  util::StatusOr<ParsedMetrics> parsed = ParsedMetrics::Parse(sink.str());
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed.value().fields.size(), 1u);
-  EXPECT_EQ(parsed.value().runs.size(), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -568,7 +504,6 @@ TEST(MetricsEndToEndTest, CollectorNeverPerturbsTheSimulation) {
   // The metrics side channel reads sim state; it never feeds it.
   EXPECT_EQ(with_json, without_json);
 
-#ifndef QA_METRICS_DISABLED
   util::StatusOr<ParsedMetrics> parsed = ParsedMetrics::Parse(sink.str());
   ASSERT_TRUE(parsed.ok()) << parsed.status();
   const ParsedMetrics& m = parsed.value();
@@ -594,7 +529,6 @@ TEST(MetricsEndToEndTest, CollectorNeverPerturbsTheSimulation) {
   const MetricStat* ticks = m.FindStat("qa_ticks_total");
   ASSERT_NE(ticks, nullptr);
   EXPECT_GT(ticks->value, 0);
-#endif
 }
 
 }  // namespace

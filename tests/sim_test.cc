@@ -138,38 +138,46 @@ TEST(EventQueueTest, PastTimestampDiagnosticNamesTheOffendingEvent) {
 #endif
 }
 
-// --------------------------------------------------------------- SimNode
+// -------------------------------------------------------------- NodePool
 
-TEST(SimNodeTest, SerialExecutionAccounting) {
-  SimNode node(0);
-  EXPECT_TRUE(node.idle());
+TEST(NodePoolTest, SerialExecutionAccounting) {
+  // Two nodes on two shard arenas; all the work goes to node 1, so node 0
+  // doubles as a check that per-node state stays separate.
+  NodePool pool;
+  pool.Init(2, 2, {0, 1});
+  constexpr catalog::NodeId kNode = 1;
 
   QueryTask t1;
   t1.query_id = 1;
   t1.exec_time = 100 * kMillisecond;
   t1.work_units = 5.0;
-  EXPECT_TRUE(node.Enqueue(t1, 0));  // was idle
+  EXPECT_TRUE(pool.Enqueue(kNode, t1));  // was idle
   QueryTask t2 = t1;
   t2.query_id = 2;
-  EXPECT_FALSE(node.Enqueue(t2, 0));  // already has work
+  EXPECT_FALSE(pool.Enqueue(kNode, t2));  // already has work
 
-  EXPECT_EQ(node.queue_length(), 2u);
-  EXPECT_EQ(node.Backlog(0), 200 * kMillisecond);
-  EXPECT_DOUBLE_EQ(node.QueuedWork(), 10.0);
+  EXPECT_EQ(pool.QueueLength(kNode), 2);
+  EXPECT_EQ(pool.Backlog(kNode, 0), 200 * kMillisecond);
+  EXPECT_DOUBLE_EQ(pool.QueuedWork(kNode), 10.0);
 
-  QueryTask running = node.BeginNext(0);
+  QueryTask running = pool.BeginNext(kNode, 0);
   EXPECT_EQ(running.query_id, 1);
-  EXPECT_FALSE(node.idle());
+  EXPECT_EQ(pool.QueueLength(kNode), 1);  // the running task is not queued
   // Halfway through the first task the backlog is 150 ms.
-  EXPECT_EQ(node.Backlog(50 * kMillisecond), 150 * kMillisecond);
+  EXPECT_EQ(pool.Backlog(kNode, 50 * kMillisecond), 150 * kMillisecond);
 
-  EXPECT_TRUE(node.CompleteCurrent(100 * kMillisecond));  // more work waits
-  EXPECT_DOUBLE_EQ(node.QueuedWork(), 5.0);
-  node.BeginNext(100 * kMillisecond);
-  EXPECT_FALSE(node.CompleteCurrent(200 * kMillisecond));
-  EXPECT_EQ(node.completed(), 2);
-  EXPECT_EQ(node.busy_time(), 200 * kMillisecond);
-  EXPECT_EQ(node.last_idle_at(), 200 * kMillisecond);
+  EXPECT_TRUE(pool.CompleteCurrent(kNode, 100 * kMillisecond));  // more waits
+  EXPECT_DOUBLE_EQ(pool.QueuedWork(kNode), 5.0);
+  EXPECT_EQ(pool.BeginNext(kNode, 100 * kMillisecond).query_id, 2);
+  EXPECT_FALSE(pool.CompleteCurrent(kNode, 200 * kMillisecond));
+  EXPECT_EQ(pool.completed(kNode), 2);
+  EXPECT_EQ(pool.busy_time(kNode), 200 * kMillisecond);
+  EXPECT_EQ(pool.last_idle_at(kNode), 200 * kMillisecond);
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(kNode), 10.0);
+
+  EXPECT_EQ(pool.completed(0), 0);
+  EXPECT_EQ(pool.Backlog(0, 0), 0);
+  EXPECT_DOUBLE_EQ(pool.CumulativeWork(0), 0.0);
 }
 
 // ------------------------------------------------------------ Federation

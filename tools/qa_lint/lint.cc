@@ -60,8 +60,8 @@ const Rule kRules[] = {
      "every kind EventKindName() can emit must be documented, or trace "
      "consumers cannot rely on the schema"},
     {"QA-OBS-002", "Recorder probe not gated by QA_OBS",
-     "a bare recorder call keeps costing when telemetry is off and does not "
-     "compile away under -DQA_OBS_DISABLED"},
+     "a bare recorder call dereferences a null recorder when telemetry is "
+     "off; the gate makes the off path one predictable branch"},
     {"QA-OBS-003", "unregistered metric name at a MetricId() call site",
      "every metric a run can emit is declared once in "
      "src/obs/metrics/catalog.cc; a name looked up anywhere else that is "
