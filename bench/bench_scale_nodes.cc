@@ -22,8 +22,10 @@
 // thins as N grows (running 1M nodes at saturation is neither tractable
 // on one machine nor what a scaling study needs — the message and routing
 // costs are per-query, not per-idle-node). Capacity context comes from a
-// 2,000-node reference model scaled linearly — EstimateCapacityQps is
-// never run on the big models.
+// 2,000-node reference model scaled linearly. The estimator itself is
+// cheap (tens of ms at 2,000 nodes), but a direct estimate at 1M nodes
+// means building a million market agents, and the sweep's load is set by
+// its query count, not by capacity, so the figure is context only.
 //
 // Headline gates (exit non-zero on violation):
 //   * hier completes >= 90% of flat-16's queries at every N (equal budget);

@@ -61,18 +61,19 @@ bool QaNtAgent::SupplyRestrictionActive() const {
   return max_price >= config_.activation_threshold;
 }
 
-bool QaNtAgent::WouldAccept(int k) const {
-  if (!CanEvaluate(k)) return false;
+bool QaNtAgent::BudgetAdmits(int k) const {
   if (remaining_budget_ <= 0) return false;
   util::VDuration cost = supply_set_.unit_cost(k);
-  if (cost > remaining_budget_) {
-    // Overshoot: only for classes that can never fit within one period
-    // (cost > T), and only if the config allows debt financing. Classes
-    // that do fit a period must wait for a period with budget.
-    if (!config_.allow_min_one_offer || cost <= supply_set_.budget()) {
-      return false;
-    }
-  }
+  if (cost <= remaining_budget_) return true;
+  // Overshoot: only for classes that can never fit within one period
+  // (cost > T), and only if the config allows debt financing. Classes
+  // that do fit a period must wait for a period with budget.
+  return config_.allow_min_one_offer && cost > supply_set_.budget();
+}
+
+bool QaNtAgent::WouldAccept(int k) const {
+  if (!CanEvaluate(k) || !BudgetAdmits(k)) return false;
+  util::VDuration cost = supply_set_.unit_cost(k);
   // First-order-condition gate (eq. 4, relaxed by the tolerance): supply
   // classes whose price-per-cost density is near the node's best. Armed
   // only while capacity is contended — an uncontended node's capacity has

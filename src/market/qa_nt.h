@@ -140,7 +140,15 @@ class QaNtAgent {
   /// an allowed overshoot).
   util::VDuration remaining_budget() const { return remaining_budget_; }
 
-  /// Whether a request for class `k` would currently be offered.
+  /// The budget half of WouldAccept: the period's remaining budget is
+  /// positive and one k-class query fits it, or overshoots it as an
+  /// allowed debt-financed offer (cost > T with allow_min_one_offer).
+  /// Within a period the budget only shrinks, so once this is false it
+  /// stays false until the next BeginPeriod. `k` must be evaluable.
+  bool BudgetAdmits(int k) const;
+
+  /// Whether a request for class `k` would currently be offered: the
+  /// budget admits it and its price density passes the gate.
   bool WouldAccept(int k) const;
 
   /// Cumulative virtual value earned by this node: the sum over accepted

@@ -7,8 +7,12 @@
 #include <cstdlib>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
-#include "market/market_sim.h"
+#include "market/qa_nt.h"
+#include "market/supply_set.h"
+#include "market/vectors.h"
 #include "util/logging.h"
 
 namespace qa::sim {
@@ -29,6 +33,106 @@ constexpr const char* kCounterNames[] = {
     "completions", "losses", "crashes",
     "restarts", "degrades", "surges", "ticks", "snapshots",
 };
+
+/// Plays `requests` consecutive k-class requests of a saturated market in
+/// which each request is broadcast to every agent that can evaluate k, the
+/// first cheapest offer is accepted and every decliner raises p_k. Returns
+/// the number of requests served.
+///
+/// The result and every agent's end state equal those of the broadcast
+/// loop, without visiting each agent on each request. An agent's state
+/// is its own: only the winner's budget moves within a request, and the
+/// price bumps of decliners are read by nobody else. So each agent is
+/// settled on its own timeline, in one of three states:
+///  - offering: WouldAccept(k); sits in the heap, and only the heap top
+///    changes state (the winner's budget shrinks);
+///  - gate-blocked: the budget admits k but the density gate does not.
+///    Its declines are played at once with the real OnRequest, until the
+///    gate opens (it joins the heap from that request on) or p_k is stuck
+///    at the cap;
+///  - budget-spent: BudgetAdmits(k) is false, and stays so for the phase
+///    because the budget only shrinks. Its missed requests are replayed
+///    at phase end, stopping once p_k reaches the cap, after which a
+///    decline moves only the agent's stats counters.
+market::Quantity ServeClassPhase(std::vector<market::QaNtAgent>* agents,
+                                 int k, market::Quantity requests) {
+  using NodeCost = std::pair<util::VDuration, catalog::NodeId>;
+  using NodeRequest = std::pair<market::Quantity, catalog::NodeId>;
+  const double price_cap = market::QaNtConfig().price_cap;
+  // Min-heap of the agents currently offering, keyed (cost, node): its top
+  // is the broadcast loop's choice, the first cheapest offer in index
+  // order.
+  std::vector<NodeCost> offering;
+  // (first request the agent offers on, node).
+  std::vector<NodeRequest> opens;
+  // (first request the agent declines for lack of budget, node).
+  std::vector<NodeRequest> spent;
+
+  for (catalog::NodeId j = 0; j < static_cast<int>(agents->size()); ++j) {
+    market::QaNtAgent& agent = (*agents)[static_cast<size_t>(j)];
+    if (!agent.CanEvaluate(k)) continue;
+    if (!agent.BudgetAdmits(k)) {
+      spent.emplace_back(0, j);
+      continue;
+    }
+    market::Quantity declines = 0;
+    bool at_cap = false;
+    // WouldAccept is re-evaluated after every bump, before the cap test:
+    // the bump that lifts p_k to the cap can be the one that opens the
+    // gate.
+    while (!agent.WouldAccept(k) && !at_cap && declines < requests) {
+      agent.OnRequest(k);
+      ++declines;
+      at_cap = agent.prices()[k] >= price_cap;
+    }
+    if (declines < requests && agent.WouldAccept(k)) {
+      opens.emplace_back(declines, j);
+    }
+  }
+  std::sort(opens.begin(), opens.end());
+
+  auto cheaper_later = [](const NodeCost& a, const NodeCost& b) {
+    return a > b;
+  };
+  market::Quantity served = 0;
+  size_t next_open = 0;
+  market::Quantity r = 0;
+  while (r < requests) {
+    for (; next_open < opens.size() && opens[next_open].first <= r;
+         ++next_open) {
+      catalog::NodeId j = opens[next_open].second;
+      offering.emplace_back((*agents)[static_cast<size_t>(j)].unit_cost(k), j);
+      std::push_heap(offering.begin(), offering.end(), cheaper_later);
+    }
+    if (offering.empty()) {
+      // No offer until the next gate opens: those requests go unserved.
+      if (next_open == opens.size()) break;
+      r = opens[next_open].first;
+      continue;
+    }
+    catalog::NodeId best = offering.front().second;
+    market::QaNtAgent& agent = (*agents)[static_cast<size_t>(best)];
+    agent.OnOfferAccepted(k);
+    ++served;
+    // Accepting moves only the budget: the winner still offers, or its
+    // budget is spent for the rest of the phase.
+    if (!agent.WouldAccept(k)) {
+      std::pop_heap(offering.begin(), offering.end(), cheaper_later);
+      offering.pop_back();
+      spent.emplace_back(r + 1, best);
+    }
+    ++r;
+  }
+
+  for (const auto& [since, j] : spent) {
+    market::QaNtAgent& agent = (*agents)[static_cast<size_t>(j)];
+    for (market::Quantity m = since;
+         m < requests && agent.prices()[k] < price_cap; ++m) {
+      agent.OnRequest(k);
+    }
+  }
+  return served;
+}
 
 }  // namespace
 
@@ -1507,53 +1611,66 @@ void Federation::ScheduleNodeEvent(util::VTime when, uint64_t stamp,
 double EstimateCapacityQps(const query::CostModel& cost_model,
                            const std::vector<double>& mix,
                            util::VDuration period, int periods) {
-  assert(static_cast<int>(mix.size()) == cost_model.num_classes());
+  const int num_classes = cost_model.num_classes();
+  const int num_nodes = cost_model.num_nodes();
+  assert(static_cast<int>(mix.size()) == num_classes);
   double mix_sum = 0.0;
   for (double m : mix) mix_sum += m;
   assert(mix_sum > 0.0);
 
-  // Upper bound on per-period throughput: every node runs its cheapest
-  // class back to back.
+  // One read of the cost matrix builds the market's agents (default QA-NT
+  // config, one per node) and the upper bound on per-period throughput
+  // (every node running its cheapest class back to back).
+  std::vector<market::QaNtAgent> agents;
+  agents.reserve(static_cast<size_t>(num_nodes));
   double max_per_period = 0.0;
-  for (catalog::NodeId j = 0; j < cost_model.num_nodes(); ++j) {
+  for (catalog::NodeId j = 0; j < num_nodes; ++j) {
+    std::vector<util::VDuration> unit_costs(static_cast<size_t>(num_classes));
     util::VDuration cheapest = query::kInfeasibleCost;
-    for (int k = 0; k < cost_model.num_classes(); ++k) {
-      cheapest = std::min(cheapest, cost_model.Cost(k, j));
+    for (int k = 0; k < num_classes; ++k) {
+      util::VDuration c = cost_model.Cost(k, j);
+      cheapest = std::min(cheapest, c);
+      unit_costs[static_cast<size_t>(k)] =
+          c == query::kInfeasibleCost
+              ? market::CapacitySupplySet::kCannotEvaluate
+              : c;
     }
     if (cheapest != query::kInfeasibleCost && cheapest > 0) {
       max_per_period +=
           static_cast<double>(period) / static_cast<double>(cheapest);
     }
+    agents.emplace_back(j, std::move(unit_costs), period);
   }
-
-  market::MarketSimConfig sim_config;
-  sim_config.period = period;
-  market::MarketSimulator sim(&cost_model, sim_config);
 
   // Keep each class's pending queue topped up to ~2x its mix share of the
   // throughput bound so servers are always saturated without letting the
   // queues (and the per-period cost) grow unboundedly.
-  auto top_up = [&]() {
-    std::vector<market::QuantityVector> demand(
-        static_cast<size_t>(cost_model.num_nodes()),
-        market::QuantityVector(cost_model.num_classes()));
-    for (int k = 0; k < cost_model.num_classes(); ++k) {
-      double want = 2.0 * max_per_period *
-                    (mix[static_cast<size_t>(k)] / mix_sum);
-      market::Quantity have = 0;
-      for (const auto& p : sim.pending()) have += p[k];
-      market::Quantity need =
-          static_cast<market::Quantity>(std::ceil(want)) - have;
-      if (need > 0) demand[0][k] = need;
-    }
-    return demand;
-  };
+  std::vector<market::Quantity> target(static_cast<size_t>(num_classes));
+  for (int k = 0; k < num_classes; ++k) {
+    double want =
+        2.0 * max_per_period * (mix[static_cast<size_t>(k)] / mix_sum);
+    target[static_cast<size_t>(k)] =
+        static_cast<market::Quantity>(std::ceil(want));
+  }
 
+  // The one client drains its queue class by class, one request per
+  // pending query (see ServeClassPhase).
+  std::vector<market::Quantity> pending(static_cast<size_t>(num_classes), 0);
   int warmup = periods / 2;
   market::Quantity consumed = 0;
   for (int t = 0; t < periods; ++t) {
-    market::MarketSimulator::PeriodResult result = sim.RunPeriod(top_up());
-    if (t >= warmup) consumed += result.aggregate_consumption.Total();
+    for (size_t k = 0; k < pending.size(); ++k) {
+      pending[k] = std::max(pending[k], target[k]);
+    }
+    for (market::QaNtAgent& agent : agents) agent.BeginPeriod();
+    for (int k = 0; k < num_classes; ++k) {
+      market::Quantity& queue = pending[static_cast<size_t>(k)];
+      if (queue <= 0) continue;
+      market::Quantity served = ServeClassPhase(&agents, k, queue);
+      queue -= served;
+      if (t >= warmup) consumed += served;
+    }
+    for (market::QaNtAgent& agent : agents) agent.EndPeriod();
   }
   double measured_seconds =
       util::ToSeconds(period) * static_cast<double>(periods - warmup);

@@ -506,6 +506,16 @@ class Federation : public allocation::AllocationContext {
 /// `mix[k]` is the relative arrival share of class k. The paper could not
 /// compute exact optima either (§5.1); this estimate is used to express
 /// workloads as a percentage of system capacity (Figs. 4-5).
+///
+/// Contract: the result equals, bit for bit, that of the synchronous
+/// saturated market — market::MarketSimulator with default QA-NT agents,
+/// where client 0's per-class queues are topped up to twice their mix
+/// share of the cheapest-class throughput bound before every period and
+/// each request is broadcast to every node (tests/capacity_oracle_test.cc
+/// keeps that loop as the reference). It reads each cost-matrix cell once
+/// and costs O(periods * (N*K + requests * log N)) plus the declines of
+/// agents that cannot trade, replayed per phase only until their price
+/// reaches the cap — not the broadcast loop's O(periods * requests * N).
 double EstimateCapacityQps(const query::CostModel& cost_model,
                            const std::vector<double>& mix,
                            util::VDuration period, int periods = 40);

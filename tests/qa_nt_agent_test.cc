@@ -182,6 +182,26 @@ TEST(QaNtAgentTest, DensityGateDeclinesFarBelowBestClass) {
   EXPECT_TRUE(agent.WouldAccept(0));
 }
 
+TEST(QaNtAgentTest, BudgetAdmitsTellsBudgetRefusalFromGateRefusal) {
+  QaNtConfig config;
+  config.density_gate_when_idle = true;
+  QaNtAgent agent = MakeFig1N1Agent(config);
+  agent.BeginPeriod();
+  // Gate refusal: q1 fits the 500 ms budget, but its density is a quarter
+  // of q2's.
+  EXPECT_TRUE(agent.BudgetAdmits(0));
+  EXPECT_FALSE(agent.WouldAccept(0));
+  // Budget refusal: after 450 ms of q2, the 400 ms q1 no longer fits and
+  // the 100 ms q2 does; once the budget is spent, neither is admitted.
+  for (int i = 0; i < 4; ++i) agent.OnOfferAccepted(1);
+  EXPECT_FALSE(agent.BudgetAdmits(0));
+  EXPECT_TRUE(agent.BudgetAdmits(1));
+  EXPECT_TRUE(agent.WouldAccept(1));
+  agent.OnOfferAccepted(1);
+  EXPECT_FALSE(agent.BudgetAdmits(1));
+  EXPECT_FALSE(agent.WouldAccept(1));
+}
+
 TEST(QaNtAgentTest, DensityGateArmsOnlyUnderContention) {
   // Fresh agent: gate disarmed, any evaluable class is admitted while
   // budget remains (zero shadow price on idle capacity)...
