@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/rng.h"
+
 namespace qa::sim::faults {
 
 namespace {
@@ -14,7 +16,8 @@ inline bool InWindow(util::VTime from, util::VTime until, util::VTime now) {
 
 FaultInjector::FaultInjector(const FaultPlan& plan, uint64_t default_seed)
     : plan_(plan),
-      rng_(plan.seed != 0 ? plan.seed : default_seed ^ 0x9e3779b97f4a7c15ull) {
+      seed_(plan.seed != 0 ? plan.seed
+                           : default_seed ^ 0x9e3779b97f4a7c15ull) {
   for (const CrashFault& f : plan_.crashes) {
     transitions_.emplace_back(
         f.at, Transition{Transition::Kind::kCrash, f.node, 1.0});
@@ -87,18 +90,25 @@ bool FaultInjector::AnyLinkFaultActive(util::VTime now) const {
   return false;
 }
 
-bool FaultInjector::DropMessage(catalog::NodeId node, util::VTime now) {
-  bool lost = false;
-  for (const LinkFault& f : plan_.links) {
+bool FaultInjector::DropMessage(catalog::NodeId node, util::VTime now,
+                                uint64_t attempt, Hop hop) const {
+  // One key per (node, hop, fault) within the attempt's stream, so the
+  // overlapping faults on one hop draw independently and compound.
+  uint64_t attempt_key = util::MixSeed(seed_, attempt);
+  uint64_t hop_index = static_cast<uint64_t>(node) * 2 +
+                       static_cast<uint64_t>(hop);
+  for (size_t i = 0; i < plan_.links.size(); ++i) {
+    const LinkFault& f = plan_.links[i];
     if (f.node != LinkFault::kAllNodes && f.node != node) continue;
     if (!InWindow(f.from, f.until, now)) continue;
-    // Draw even when already lost so the RNG stream depends only on the
-    // plan and the event order, not on earlier draw outcomes.
-    if (f.drop_probability > 0.0 && rng_.Bernoulli(f.drop_probability)) {
-      lost = true;
+    uint64_t bits = util::SplitMix64(util::MixSeed(
+        attempt_key, hop_index * plan_.links.size() + i)).Next();
+    // A 53-bit uniform in [0, 1).
+    if (static_cast<double>(bits >> 11) * 0x1.0p-53 < f.drop_probability) {
+      return true;
     }
   }
-  return lost;
+  return false;
 }
 
 util::VDuration FaultInjector::ExtraLatency(catalog::NodeId node,

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "sim/faults/fault_plan.h"
-#include "util/rng.h"
 #include "util/vtime.h"
 
 namespace qa::sim::faults {
@@ -17,13 +16,23 @@ namespace qa::sim::faults {
 /// schedule them as discrete events (crash flushes a node, restart resets
 /// the allocator's agent, degrade edges are traced).
 ///
-/// One injector belongs to one single-threaded Federation. All message-loss
-/// randomness comes from a private RNG seeded at construction; since the
-/// event loop consumes draws in deterministic order, a (plan, seed) pair
-/// reproduces the same run byte for byte at any experiment-grid thread
-/// count.
+/// Message loss holds no RNG state: the fate of one message hop is a pure
+/// hash of (plan seed, mediator attempt, node, hop kind, link-fault index).
+/// A fate is evaluated only for the hops a mechanism actually sends, gives
+/// the same answer however often and in whatever order it is asked, and
+/// never depends on how many other fates were asked before it; so a
+/// (plan, seed) pair reproduces the same run byte for byte at any shard,
+/// thread or experiment-grid layout.
 class FaultInjector {
  public:
+  /// The two message hops of one allocation attempt toward a node. Each
+  /// has its own fate, so a node that answered the negotiation can still
+  /// lose the shipment.
+  enum class Hop : uint8_t {
+    kNegotiation,  // request/offer exchange (a drop reads as a decline)
+    kShipment,     // the accepted query shipped to the winner
+  };
+
   /// A state change the federation must act on at a specific time.
   struct Transition {
     enum class Kind : uint8_t {
@@ -72,18 +81,22 @@ class FaultInjector {
   bool AnySurge() const { return !plan_.surges.empty(); }
 
   /// True when some link fault window covers `now` (fast-path gate: when
-  /// false, no draw is consumed anywhere).
+  /// false, no message can be dropped).
   bool AnyLinkFaultActive(util::VTime now) const;
-  /// Draws the fate of one message hop toward `node`: true = the message
-  /// is lost. Consumes one RNG draw per active matching link fault.
-  bool DropMessage(catalog::NodeId node, util::VTime now);
+  /// The fate of the `hop` toward `node` in mediator attempt `attempt`:
+  /// true = the message is lost. Each active matching link fault drops it
+  /// independently with its own drop_probability (overlapping faults
+  /// compound); outside every window nothing is dropped.
+  bool DropMessage(catalog::NodeId node, util::VTime now, uint64_t attempt,
+                   Hop hop) const;
   /// Extra one-way latency currently imposed on the link toward `node`.
   util::VDuration ExtraLatency(catalog::NodeId node, util::VTime now) const;
 
  private:
   FaultPlan plan_;
   std::vector<std::pair<util::VTime, Transition>> transitions_;
-  util::Rng rng_;
+  /// Root of every message-fate key.
+  uint64_t seed_;
 };
 
 }  // namespace qa::sim::faults

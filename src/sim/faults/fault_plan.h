@@ -40,8 +40,12 @@ struct DegradeFault {
 /// `drop_probability` and delayed by `extra_latency`. A dropped
 /// request/offer hop looks like a timeout to the mediator and is treated
 /// as a decline; a dropped shipment hop loses the query in flight and the
-/// client resubmits at the next market tick. `node == kAllNodes` applies
-/// the fault to every link.
+/// client resubmits at the next market tick. Only the hops a mechanism
+/// actually sends can be dropped: each one's fate is keyed by (plan seed,
+/// mediator attempt, node, hop, fault index), so the negotiation and
+/// shipment hops of one attempt are independent, and overlapping faults
+/// drop independently and compound. `node == kAllNodes` applies the fault
+/// to every link.
 struct LinkFault {
   static constexpr catalog::NodeId kAllNodes = -1;
 
@@ -73,9 +77,10 @@ struct SurgeFault {
 /// which live on the majority side). State stays intact: queries already
 /// queued on a partitioned node keep executing and their results are
 /// delivered once the partition heals. Mechanisms that negotiate or probe
-/// (QA-NT, Greedy, BNQRD, TwoProbes) get no reply from an unreachable node
+/// per arrival (QA-NT, Greedy, BNQRD) get no reply from an unreachable node
 /// (a timeout, counted as a decline) and route around it; blind ones
-/// (Random, RoundRobin) never consult AllocationContext::NodeOnline, so
+/// (Random, RoundRobin) and TwoProbes, which picks from a periodically
+/// refreshed load board, never consult AllocationContext::NodeOnline, so
 /// their assignments bounce and the query is resubmitted. A one-node
 /// partition is the classic scheduled outage.
 struct PartitionFault {
@@ -85,16 +90,16 @@ struct PartitionFault {
 };
 
 /// A declarative, seeded fault schedule for one federation run. Empty by
-/// default (no faults). All randomness (message-loss draws) comes from a
-/// private RNG seeded with `seed`, so the same plan over the same workload
-/// produces a byte-identical run at any thread count.
+/// default (no faults). All randomness (message-loss fates) is a pure hash
+/// keyed by `seed`, so the same plan over the same workload produces a
+/// byte-identical run at any shard or thread count.
 struct FaultPlan {
   std::vector<CrashFault> crashes;
   std::vector<DegradeFault> degrades;
   std::vector<LinkFault> links;
   std::vector<PartitionFault> partitions;
   std::vector<SurgeFault> surges;
-  /// Seed of the injector's message-loss RNG. 0 derives the seed from the
+  /// Root of every message-fate key (LinkFault). 0 derives it from the
   /// federation's own seed (FederationConfig::seed).
   uint64_t seed = 0;
 

@@ -270,7 +270,6 @@ Federation::Federation(const query::CostModel* cost_model,
   }
   node_seq_.assign(static_cast<size_t>(num_nodes_), 0);
 
-  link_down_.assign(static_cast<size_t>(num_nodes_), 0);
   best_cost_.resize(static_cast<size_t>(cost_model_->num_classes()), 0.0);
   for (int k = 0; k < cost_model_->num_classes(); ++k) {
     util::VDuration best = cost_model_->BestCost(k);
@@ -683,13 +682,13 @@ bool Federation::NodeOnline(catalog::NodeId node) const {
   // During an allocation attempt under an active link fault, a node whose
   // request/offer hops were dropped looks exactly like an offline one: the
   // mediator's request times out and counts as a decline.
-  if (link_mask_active_ && link_down_[static_cast<size_t>(node)] != 0) {
-    return false;
-  }
-  return true;
+  return !(lossy_negotiation_ &&
+           injector_.DropMessage(node, events_.now(), attempt_seq_,
+                                 faults::FaultInjector::Hop::kNegotiation));
 }
 
 void Federation::HandleQuery(SimEvent::Pending pending) {
+  ++attempt_seq_;  // a new key for this attempt's message fates
   QA_OBS(config_.recorder) {
     if (pending.attempts == 0) {
       obs::EventRecord event;
@@ -764,19 +763,11 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     ++admission_load_;
   }
 
-  // Under an active link fault, draw the fate of this attempt's message
-  // hops once per node before the mechanism runs: a node whose hops are
-  // dropped is indistinguishable from an offline one (the request times
-  // out — a decline). One draw per node per attempt, in node order, keeps
-  // the RNG stream a function of the plan and the event order only.
+  // Under an active link fault, NodeOnline reads the fate of each
+  // contacted node's negotiation hop from this attempt's key, so only the
+  // nodes the mechanism asks cost a draw.
   bool link_faults = injector_.AnyLinkFaultActive(events_.now());
-  if (link_faults) {
-    for (catalog::NodeId j = 0; j < num_nodes(); ++j) {
-      link_down_[static_cast<size_t>(j)] =
-          injector_.DropMessage(j, events_.now()) ? 1 : 0;
-    }
-    link_mask_active_ = true;
-  }
+  lossy_negotiation_ = link_faults;
 
   int64_t alloc_start = 0;
   QA_METRICS(config_.metrics) {
@@ -823,9 +814,9 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
     }
     decision.node = allocation::kNoNode;
   }
-  // The per-attempt link mask only scopes the negotiation above; the
-  // shipment hop below draws its own fate.
-  link_mask_active_ = false;
+  // Link faults only scope the negotiation above through NodeOnline; the
+  // shipment hop below has its own fate.
+  lossy_negotiation_ = false;
 
   if (decision.node == allocation::kNoNode) {
     ++tick_rejects_;
@@ -935,7 +926,9 @@ void Federation::HandleQuery(SimEvent::Pending pending) {
   // The shipment hop draws its own fate under an active link fault: a
   // dropped shipment loses the (already accepted) query in flight; the
   // client notices the silence and resubmits at the next market tick.
-  if (link_faults && injector_.DropMessage(decision.node, events_.now())) {
+  if (link_faults &&
+      injector_.DropMessage(decision.node, events_.now(), attempt_seq_,
+                            faults::FaultInjector::Hop::kShipment)) {
     LoseTaskMediator(task, decision.node);
     return;
   }

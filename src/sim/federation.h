@@ -87,7 +87,7 @@ struct FederationConfig {
   /// (DESIGN.md §9). Null = every probe is a single branch.
   obs::metrics::Collector* metrics = nullptr;
   /// Allocator RNG seed, recorded in the trace meta line for provenance.
-  /// Also the default seed of the fault injector's message-loss RNG (see
+  /// Also the default root of the fault injector's message-fate keys (see
   /// faults::FaultPlan::seed).
   int64_t seed = 0;
   /// QA-NT offer-solicitation fanout policy. Carried here so runs record
@@ -437,12 +437,15 @@ class Federation : public allocation::AllocationContext {
   uint64_t current_stamp_ = 0;
   std::vector<MediatorTraceItem> med_items_;
   SimMetrics metrics_;
-  /// Per-allocation-attempt link mask: while the current arrival is being
-  /// negotiated, link_down_[j] != 0 means this attempt's message hops to
-  /// node j were dropped — the mediator sees a timeout, i.e. a decline
-  /// (NodeOnline returns false). Valid only while link_mask_active_.
-  std::vector<uint8_t> link_down_;
-  bool link_mask_active_ = false;
+  /// Mediator attempts so far; the current one keys the message fates of
+  /// its negotiation and shipment hops (FaultInjector::DropMessage).
+  /// Advances once per HandleQuery and never resets, so no two attempts
+  /// share a key.
+  uint64_t attempt_seq_ = 0;
+  /// True while an arrival is being negotiated under an active link fault:
+  /// NodeOnline then reports a node whose negotiation hop was dropped as
+  /// offline (the mediator sees a timeout, i.e. a decline).
+  bool lossy_negotiation_ = false;
   /// Per-tick allocation outcome counters driving the mediator's
   /// escalating retry backoff: a market round where every attempt was
   /// declined (rejects > 0, assigns == 0) bumps the streak, any assign

@@ -178,6 +178,22 @@ FuzzCase MakeCase(int index) {
           static_cast<int>(rng.UniformInt(1, 8));
     }
   }
+  // Lossy links ride along after every earlier draw for the same reason:
+  // a loss window inside the workload on every link or on one, sometimes
+  // with extra latency.
+  if (rng.Bernoulli(0.4)) {
+    faults::LinkFault link;
+    if (rng.Bernoulli(0.5)) {
+      link.node = static_cast<catalog::NodeId>(
+          rng.UniformInt(0, c.num_nodes - 1));
+    }
+    link.from = rng.UniformInt(0, c.workload.duration / (2 * kSecond)) *
+                kSecond;
+    link.until = link.from + rng.UniformInt(1, 3) * kSecond;
+    link.drop_probability = rng.UniformReal(0.05, 0.4);
+    link.extra_latency = rng.UniformInt(0, 3) * kMillisecond;
+    c.config.faults.links.push_back(link);
+  }
   return c;
 }
 
@@ -471,7 +487,8 @@ TEST(FederationPropertyTest, ShardedReplayIsByteIdenticalToInline) {
                  std::to_string(c.num_nodes) + " faults " +
                  std::to_string(c.config.faults.crashes.size() +
                                 c.config.faults.partitions.size() +
-                                c.config.faults.degrades.size()));
+                                c.config.faults.degrades.size() +
+                                c.config.faults.links.size()));
     ReplayResult inline_run = ReplayCase(c, i, 1, 1, "inline");
     for (int threads : {1, 8}) {
       SCOPED_TRACE("shards 4 threads " + std::to_string(threads));
@@ -510,8 +527,14 @@ TEST(FederationPropertyTest, CorpusCoversTheInterestingPaths) {
   int sampled = 0, faulted = 0, deadlined = 0, qa_nt = 0;
   int surged = 0, bounded = 0, admitted = 0, deferred = 0;
   int clustered = 0, degenerate = 0, empty_cluster = 0, skewed = 0;
+  int lossy = 0, lossy_qa_nt = 0, lossy_clustered = 0;
   for (int i = 0; i < 48; ++i) {
     FuzzCase c = MakeCase(i);
+    if (!c.config.faults.links.empty()) {
+      ++lossy;
+      if (c.mechanism == "QA-NT") ++lossy_qa_nt;
+      if (c.config.cluster_plan.hierarchical()) ++lossy_clustered;
+    }
     if (c.solicitation.sampled()) ++sampled;
     if (!c.config.faults.empty()) ++faulted;
     if (c.config.query_deadline > 0) ++deadlined;
@@ -550,6 +573,11 @@ TEST(FederationPropertyTest, CorpusCoversTheInterestingPaths) {
   EXPECT_GE(degenerate + clustered, 3);
   EXPECT_GE(empty_cluster, 1);
   EXPECT_GE(skewed, 1);
+  // Lossy links, including QA-NT negotiating under loss on the sharded
+  // path and the two-tier market.
+  EXPECT_GE(lossy, 5);
+  EXPECT_GE(lossy_qa_nt, 2);
+  EXPECT_GE(lossy_clustered, 1);
 }
 
 }  // namespace
